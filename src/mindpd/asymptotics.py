@@ -11,14 +11,14 @@ alpha dispatch.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .divergence import as_mixture, criterion, criterion_gradient
+from .divergence import criterion_kernel, windows_and_hints
 from .errors import EstimationError, IntegrabilityError, NumericalError
-from .families import (INFO_POWER, PLAIN_POWER, SCORE_OUTER_POWER,
-                       SCORE_POWER, from_working, integral_term,
+from .families import (PLAIN_POWER, SCORE_OUTER_POWER, SCORE_POWER,
+                       from_working, integral_term,
                        integrate_model, to_working, working_curvature,
                        working_jacobian)
 from .optimize import maximize
@@ -46,13 +46,6 @@ class SandwichCov:
         return np.sqrt(np.diag(self.sigma) / n)
 
 
-def _windows_and_hints(fam, theta, g, quad):
-    windows = [fam.window(theta, quad.tail_eps), g.window(quad.tail_eps)]
-    hints = tuple(fam.panel_hints(theta, quad.tail_eps)) \
-        + tuple(g.panel_hints(quad.tail_eps))
-    return windows, hints
-
-
 def population_objective(fam, theta, g, cfg):
     """M(theta): the expected criterion under the true density g.
 
@@ -60,17 +53,16 @@ def population_objective(fam, theta, g, cfg):
     integrable parameter region; a non-converging integral raises
     IntegrabilityError.
     """
-    g = as_mixture(g)
     theta = fam.require_feasible(theta)
-    cache = {}
 
     def integrand(x):
-        m = criterion(fam, x, theta, cfg, cache)
+        m = kernel(x)[0]
         gv = g.pdf(x)
         return np.stack([m * gv, np.abs(m) * gv], axis=1)
 
-    windows, hints = _windows_and_hints(fam, theta, g, cfg.quad)
+    windows, hints = windows_and_hints(fam, theta, g, cfg.quad)
     try:
+        kernel = criterion_kernel(fam, theta, cfg, (0,))
         value, _ = integrate_model(fam.support, integrand, windows,
                                    cfg.quad, hints)
     except NumericalError as exc:
@@ -88,14 +80,13 @@ def population_objective(fam, theta, g, cfg):
 def population_gradient(fam, theta, g, cfg):
     """Gradient of M in natural coordinates (integral of the criterion
     gradient against g)."""
-    g = as_mixture(g)
     theta = fam.require_feasible(theta)
-    cache = {}
+    kernel = criterion_kernel(fam, theta, cfg, (1,))
 
     def integrand(x):
-        return criterion_gradient(fam, x, theta, cfg, cache) * g.pdf(x)[:, None]
+        return kernel(x)[1] * g.pdf(x)[:, None]
 
-    windows, hints = _windows_and_hints(fam, theta, g, cfg.quad)
+    windows, hints = windows_and_hints(fam, theta, g, cfg.quad)
     value, _ = integrate_model(fam.support, integrand, windows, cfg.quad, hints)
     return value
 
@@ -107,7 +98,6 @@ def compute_K(fam, theta, g, cfg):
     g-weighted integral of S f^alpha. K is symmetrized; a smallest eigenvalue
     materially below zero triggers a numerical warning.
     """
-    g = as_mixture(g)
     theta = fam.require_feasible(theta)
     alpha = cfg.alpha
     p = fam.p
@@ -120,7 +110,7 @@ def compute_K(fam, theta, g, cfg):
         u = s * (fa * gv)[:, None]
         return np.concatenate([outer.reshape(-1, p * p), u], axis=1)
 
-    windows, hints = _windows_and_hints(fam, theta, g, cfg.quad)
+    windows, hints = windows_and_hints(fam, theta, g, cfg.quad)
     value, _ = integrate_model(fam.support, integrand, windows, cfg.quad, hints)
     A = value[:p * p].reshape(p, p)
     U = value[p * p:]
@@ -134,7 +124,6 @@ def compute_J(fam, theta, g, cfg):
     """J: the model integral of S S^t f^(1+alpha) plus the g-vs-model
     correction integral of (i - alpha S S^t)(g - f) f^alpha. The second term
     vanishes identically when g is the model density at theta."""
-    g = as_mixture(g)
     theta = fam.require_feasible(theta)
     alpha = cfg.alpha
     t1 = integral_term(fam, theta, alpha, SCORE_OUTER_POWER, cfg.quad)
@@ -149,7 +138,7 @@ def compute_J(fam, theta, g, cfg):
         core = info - alpha * np.einsum("ni,nj->nij", s, s)
         return core * ((gv - fv) * fa)[:, None, None]
 
-    windows, hints = _windows_and_hints(fam, theta, g, cfg.quad)
+    windows, hints = windows_and_hints(fam, theta, g, cfg.quad)
     t2, _ = integrate_model(fam.support, integrand, windows, cfg.quad, hints)
     J = t1 + t2
     return 0.5 * (J + J.T)
@@ -187,29 +176,19 @@ def sandwich(fam, theta, g, cfg, cond_cap=1e12):
 
 def empirical_sandwich(fam, theta_hat, sample, cfg, cond_cap=1e12):
     """Plug-in sandwich: g replaced by the empirical distribution in the K
-    and J formulas, model integrals kept exact."""
-    from .divergence import sample_data
-    data = sample_data(fam, sample)
-    theta_hat = fam.require_feasible(theta_hat)
+    and J formulas, model integrals kept exact. J is the objective Hessian
+    over -(1 + alpha)."""
+    data = fam.validate_data(sample)
     if data.shape[0] < fam.p + 1:
         raise EstimationError(
             f"need at least p+1={fam.p + 1} observations for the empirical "
             f"sandwich, got {data.shape[0]}")
-    alpha = cfg.alpha
-    s = fam.score(data, theta_hat)
-    info = fam.info(data, theta_hat)
-    fa = np.exp(alpha * fam.logpdf(data, theta_hat))
-    outer = np.einsum("ni,nj->nij", s, s)
-
+    _, _, H, s, fa = criterion_kernel(fam, theta_hat, cfg, (2,))(data)
     U = np.mean(s * fa[:, None], axis=0)
-    K = np.mean(outer * (fa ** 2)[:, None, None], axis=0) - np.outer(U, U)
+    K = (np.mean(np.einsum("ni,nj->nij", s, s) * (fa ** 2)[:, None, None],
+                 axis=0) - np.outer(U, U))
     K = 0.5 * (K + K.T)
-
-    t_outer = integral_term(fam, theta_hat, alpha, SCORE_OUTER_POWER, cfg.quad)
-    t_info = integral_term(fam, theta_hat, alpha, INFO_POWER, cfg.quad)
-    data_term = np.mean((info - alpha * outer) * fa[:, None, None], axis=0)
-    J = (1 + alpha) * t_outer - t_info + data_term
-    J = 0.5 * (J + J.T)
+    J = -H / (1 + cfg.alpha)
     return _assemble(K, J, U, EMPIRICAL, cond_cap)
 
 
@@ -225,7 +204,6 @@ def dpd_projection(fam, g, cfg, init=None, grid_span=1.0, grid_points=7,
     Newton ascent using the analytic M-gradient and the population Hessian
     -(1+alpha) J.
     """
-    g = as_mixture(g)
     if init is None:
         rng = np.random.Generator(np.random.Philox(key=0x9E3779B97F4A7C15))
         init = fam.initial_guess(g.sample(4096, rng))
@@ -307,22 +285,7 @@ class DiagnosticsReport:
     thresholds: dict
 
     def to_dict(self):
-        return {
-            "family": self.family,
-            "alpha": self.alpha,
-            "theta0": list(map(float, self.theta0)),
-            "hessian_identity_error": self.hessian_identity_error,
-            "interchange_error": self.interchange_error,
-            "score_bound_sups": list(map(float, self.score_bound_sups)),
-            "score_bound_bounded": list(map(bool, self.score_bound_bounded)),
-            "lipschitz_sup": self.lipschitz_sup,
-            "lipschitz_phi2_integral": self.lipschitz_phi2_integral,
-            "lipschitz_ball_radius": self.lipschitz_ball_radius,
-            "info_integral_model": self.info_integral_model,
-            "info_integral_true": self.info_integral_true,
-            "verdicts": dict(self.verdicts),
-            "thresholds": dict(self.thresholds),
-        }
+        return asdict(self)
 
     def render_text(self):
         lines = [
@@ -448,7 +411,6 @@ def diagnose_regularity(fam, theta0, g, cfg, dcfg=DiagnosticsConfig()):
         derivative (both by quadrature);
     (e) integrability of |i_jk| f^alpha against the model and against g.
     """
-    g = as_mixture(g)
     theta0 = fam.require_feasible(theta0)
     alpha = cfg.alpha
 
@@ -483,18 +445,18 @@ def diagnose_regularity(fam, theta0, g, cfg, dcfg=DiagnosticsConfig()):
                  dcfg.ball_radius_floor)
     dirs = _ball_directions(fam.p, dcfg.ball_directions)
     thetas = [theta0] + [from_working(fam, z0 + radius * u) for u in dirs]
-    caches = [{} for _ in thetas]
+    kernels = [criterion_kernel(fam, th, cfg, (1,)) for th in thetas]
     state = {"sup": 0.0}
 
     def phi2_g(x):
         phi = np.zeros(x.shape[0])
-        for th, cache in zip(thetas, caches):
-            grads = criterion_gradient(fam, x, th, cfg, cache)
+        for kernel in kernels:
+            grads = kernel(x)[1]
             phi = np.maximum(phi, np.linalg.norm(grads, axis=1))
         state["sup"] = max(state["sup"], float(phi.max(initial=0.0)))
         return phi ** 2 * g.pdf(x)
 
-    windows, hints = _windows_and_hints(fam, theta0, g, cfg.quad)
+    windows, hints = windows_and_hints(fam, theta0, g, cfg.quad)
     phi2_int, _ = integrate_model(fam.support, phi2_g, windows, cfg.quad, hints)
     phi2_int = float(phi2_int)
 

@@ -16,10 +16,9 @@ import sys
 import numpy as np
 
 from .asymptotics import DiagnosticsConfig, diagnose_regularity
-from .divergence import DpdConfig, Sample
-from .errors import (ConfigError, DomainError, EstimationError,
-                     IngestionError, MindpdError, NonconvergenceError,
-                     NumericalError, StudyError)
+from .divergence import DpdConfig
+from .errors import (ConfigError, DomainError, IngestionError, MindpdError,
+                     NonconvergenceError)
 from .estimation import FitConfig, fit, fit_path
 from .families import FAMILIES, Mixture, get_family, model_density
 from .montecarlo import (CONSISTENCY, NORMALITY, McConfig, efficiency_curve,
@@ -63,50 +62,69 @@ def read_data_csv(path):
 
 
 def parse_generator(text):
-    """Mixture spec: inline JSON, @file/path to JSON, or the shorthand
+    """Mixture spec: inline JSON, @file holding JSON, or the shorthand
     'w*family:p1,p2+w*family:p1,p2' (weights optional when they sum to 1
     implicitly, i.e. a single component)."""
     text = text.strip()
     if text.startswith("@"):
-        text = open(text[1:], "r", encoding="utf-8").read().strip()
-    elif os.path.exists(text):
-        text = open(text, "r", encoding="utf-8").read().strip()
-    if text.startswith("{"):
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"generator JSON invalid: {exc}")
-        comps = []
-        for c in doc.get("components", []):
-            fam = get_family(c["family"], **c.get("args", {}))
-            comps.append((fam, np.array(c["theta"], dtype=float),
-                          float(c.get("weight", 1.0))))
-        if not comps:
-            raise ConfigError("generator JSON has no components")
-        return Mixture(comps)
-    comps = []
-    for part in text.split("+"):
-        part = part.strip()
-        weight = 1.0
-        if "*" in part:
-            w, part = part.split("*", 1)
-            weight = float(w)
-        if ":" not in part:
-            raise ConfigError(
-                f"bad generator component {part!r}; expected family:p1,p2")
-        name, params = part.split(":", 1)
-        fam = get_family(name.strip())
-        theta = np.array([float(v) for v in params.split(",")], dtype=float)
-        comps.append((fam, theta, weight))
+            with open(text[1:], "r", encoding="utf-8") as fh:
+                text = fh.read().strip()
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read generator file {text[1:]}: {exc}")
+    try:
+        if text.startswith("{"):
+            comps = [(get_family(c["family"], **c.get("args", {})),
+                      np.array(c["theta"], dtype=float),
+                      float(c.get("weight", 1.0)))
+                     for c in json.loads(text).get("components", [])]
+        else:
+            comps = [_shorthand_component(part) for part in text.split("+")]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad generator spec {text!r}: {exc!r}") from None
+    if not comps:
+        raise ConfigError("generator JSON has no components")
     return Mixture(comps)
 
 
-def _floats(text):
-    return tuple(float(v) for v in str(text).split(","))
+def _shorthand_component(part):
+    part = part.strip()
+    weight = 1.0
+    if "*" in part:
+        w, part = part.split("*", 1)
+        weight = float(w)
+    if ":" not in part:
+        raise ConfigError(
+            f"bad generator component {part!r}; expected family:p1,p2")
+    name, params = part.split(":", 1)
+    fam = get_family(name.strip())
+    return fam, np.array([float(v) for v in params.split(",")]), weight
 
 
-def _ints(text):
-    return tuple(int(v) for v in str(text).split(","))
+def _numbers(resolved, key, kind=float):
+    """An option holding comma-separated numbers, as a tuple."""
+    text = resolved[key]
+    try:
+        return tuple(kind(v) for v in str(text).split(","))
+    except ValueError:
+        raise ConfigError(f"--{key.replace('_', '-')}: expected "
+                          f"comma-separated numbers, got {text!r}") from None
+
+
+def _number(resolved, key, kind=float):
+    try:
+        return kind(resolved[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"--{key.replace('_', '-')}: expected a number, "
+                          f"got {resolved[key]!r}") from None
+
+
+def _config(cls, **kwargs):
+    """Build a settings object; its validation errors are config errors."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _load_config_file(path):
@@ -169,13 +187,13 @@ def _check_format(resolved, expected, command):
 
 
 def _quad_from(resolved):
-    return QuadratureSpec(nodes=int(resolved["quad_nodes"]))
+    return _config(QuadratureSpec, nodes=_number(resolved, "quad_nodes", int))
 
 
 def _fit_cfg_from(resolved):
-    return FitConfig(starts=int(resolved["starts"]),
-                     seed=int(resolved["seed"]),
-                     wald_level=float(resolved["level"]))
+    return _config(FitConfig, starts=_number(resolved, "starts", int),
+                   seed=_number(resolved, "seed", int),
+                   wald_level=_number(resolved, "level"))
 
 
 _COMMON_DEFAULTS = {
@@ -196,9 +214,9 @@ def cmd_fit(args):
     data_path = _require(resolved, "data", "fit")
     fam = get_family(family)
     data = read_data_csv(data_path)
-    sample = Sample.from_values(fam, data)
-    cfg = DpdConfig(alpha=float(resolved["alpha"]), quad=_quad_from(resolved))
-    result = fit(fam, sample, cfg, _fit_cfg_from(resolved))
+    cfg = DpdConfig(alpha=_number(resolved, "alpha"),
+                    quad=_quad_from(resolved))
+    result = fit(fam, data, cfg, _fit_cfg_from(resolved))
     doc = result.to_dict()
     doc["resolved_config"] = {k: resolved[k] for k in sorted(resolved)
                               if k != "out"}
@@ -223,11 +241,13 @@ def cmd_simulate(args):
         raise ConfigError(f"unknown study {study!r}")
     theta_true = resolved["theta_true"]
     if isinstance(theta_true, str):
-        theta_true = _floats(theta_true)
-    cfg = McConfig(
-        alphas=_floats(resolved["alpha"]), n_grid=_ints(resolved["n"]),
-        reps=int(resolved["reps"]), master_seed=int(resolved["seed"]),
-        workers=int(resolved["workers"]), quad=_quad_from(resolved),
+        theta_true = _numbers(resolved, "theta_true")
+    cfg = _config(
+        McConfig, alphas=_numbers(resolved, "alpha"),
+        n_grid=_numbers(resolved, "n", int),
+        reps=_number(resolved, "reps", int),
+        master_seed=_number(resolved, "seed", int),
+        workers=_number(resolved, "workers", int), quad=_quad_from(resolved),
         fit=_fit_cfg_from(resolved),
         theta_true=theta_true)
     runner = (run_normality_study if study == NORMALITY
@@ -250,23 +270,20 @@ def cmd_sweep(args):
     _check_format(resolved, "csv", "sweep")
     family = _require(resolved, "family", "sweep")
     fam = get_family(family)
-    grid = _floats(resolved["alpha_grid"])
-    if len(grid) == 0:
-        raise ConfigError("alpha grid is empty")
+    grid = _numbers(resolved, "alpha_grid")
     if resolved["out"] not in (None, "-"):
         # provenance sidecar: the CSV itself stays plot-ready
         _write_text(resolved["out"] + ".config.json", _json_text(
             {k: resolved[k] for k in sorted(resolved) if k != "out"}))
     if resolved["data"]:
         data = read_data_csv(resolved["data"])
-        sample = Sample.from_values(fam, data)
-        path = fit_path(fam, sample, grid, _fit_cfg_from(resolved),
+        path = fit_path(fam, data, grid, _fit_cfg_from(resolved),
                         quad=_quad_from(resolved))
         cols = (["alpha", "converged", "error"]
                 + [f"est_{p}" for p in fam.param_names]
                 + [f"se_{p}" for p in fam.param_names])
         lines = [",".join(cols)]
-        for a, r, err in path.rows():
+        for a, r, err in zip(path.alphas, path.results, path.errors):
             if r is None:
                 row = [repr(a), "0", (err or "").replace(",", ";")]
                 row += ["nan"] * (2 * fam.p)
@@ -282,7 +299,7 @@ def cmd_sweep(args):
     if resolved["theta"] is None:
         raise ConfigError("sweep needs --data (fit sweep) or --theta "
                           "(efficiency sweep)")
-    theta = np.array(_floats(resolved["theta"]))
+    theta = np.array(_numbers(resolved, "theta"))
     rows = efficiency_curve(fam, theta, grid, quad=_quad_from(resolved))
     cols = ["alpha"] + [f"are_{p}" for p in fam.param_names]
     lines = [",".join(cols)]
@@ -300,13 +317,13 @@ def cmd_diagnose(args):
     _check_format(resolved, "json", "diagnose")
     family = _require(resolved, "family", "diagnose")
     fam = get_family(family)
-    cfg = DpdConfig(alpha=float(resolved["alpha"]), quad=_quad_from(resolved))
+    cfg = DpdConfig(alpha=_number(resolved, "alpha"),
+                    quad=_quad_from(resolved))
     if resolved["theta"] is not None:
-        theta0 = np.array(_floats(resolved["theta"]))
+        theta0 = np.array(_numbers(resolved, "theta"))
     elif resolved["data"]:
         data = read_data_csv(resolved["data"])
-        theta0 = fit(fam, Sample.from_values(fam, data), cfg,
-                     _fit_cfg_from(resolved)).theta_hat
+        theta0 = fit(fam, data, cfg, _fit_cfg_from(resolved)).theta_hat
     else:
         raise ConfigError("diagnose needs --theta or --data")
     gen = (parse_generator(resolved["generator"]) if resolved["generator"]
@@ -391,10 +408,8 @@ def main(argv=None):
     except NonconvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (NumericalError, EstimationError, StudyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except MindpdError as exc:
+        # numerical, estimation and study failures
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -6,9 +6,9 @@ its gradient the score, its Hessian the negative information matrix, and the
 divergence takes its Kullback-Leibler limit form. Everywhere else alpha = 0
 flows through the generic formulas unchanged.
 
-The theta-dependent model integrals entering the criterion and its
-derivatives are independent of the data; within one evaluation they are
-computed once and memoized in a per-call cache (never shared across calls).
+The criterion and its derivatives all come from one kernel,
+``criterion_kernel``, which computes the data-free model integrals once per
+theta and then evaluates any set of points.
 """
 from __future__ import annotations
 
@@ -17,9 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .families import (INFO_POWER, PLAIN_POWER, SCORE_OUTER_POWER,
-                       SCORE_POWER, Mixture, integral_term, integrate_model)
+from .families import (INFO_POWER, INTEGRAL_KINDS, PLAIN_POWER,
+                       SCORE_OUTER_POWER, SCORE_POWER,
+                       integral_term,  # noqa: F401  (re-exported)
+                       integral_terms, integrate_model)
 from .quadrature import QuadratureSpec
+
+# model integral kinds each derivative order of the criterion needs
+_ORDER_KINDS = ((PLAIN_POWER,), (SCORE_POWER,),
+                (SCORE_OUTER_POWER, INFO_POWER))
 
 
 @dataclass(frozen=True)
@@ -38,44 +44,13 @@ class DpdConfig:
             raise DomainError("alpha must be nonnegative")
 
 
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """Validated observation vector."""
-
-    data: np.ndarray
-
-    @classmethod
-    def from_values(cls, fam, values):
-        return cls(fam.validate_data(values))
-
-    @property
-    def n(self):
-        return self.data.shape[0]
-
-
-def sample_data(fam, sample):
-    """Accept a Sample or raw values; always returns validated data."""
-    if isinstance(sample, Sample):
-        return sample.data
-    return fam.validate_data(np.asarray(sample, dtype=float))
-
-
-def as_mixture(g):
-    """Normalize a true-density argument: Mixture or (family, theta)."""
-    if isinstance(g, Mixture):
-        return g
-    fam, theta = g
-    return Mixture.single(fam, theta)
-
-
-def model_term(fam, theta, cfg, kind, cache=None):
-    """integral_term memoized in the per-evaluation cache."""
-    if cache is None:
-        return integral_term(fam, theta, cfg.alpha, kind, cfg.quad)
-    key = (kind, cfg.alpha, np.asarray(theta, dtype=float).tobytes())
-    if key not in cache:
-        cache[key] = integral_term(fam, theta, cfg.alpha, kind, cfg.quad)
-    return cache[key]
+def windows_and_hints(fam, theta, g, quad):
+    """Tail windows and panel hints of the model at theta and of the true
+    density g, for integrals against both."""
+    windows = [fam.window(theta, quad.tail_eps), g.window(quad.tail_eps)]
+    hints = tuple(fam.panel_hints(theta, quad.tail_eps)) \
+        + tuple(g.panel_hints(quad.tail_eps))
+    return windows, hints
 
 
 # ----------------------------------------------------------------------
@@ -83,22 +58,18 @@ def model_term(fam, theta, cfg, kind, cache=None):
 # ----------------------------------------------------------------------
 
 def dpd_divergence(g, fam, theta, cfg):
-    """Density power divergence between a true density g (mixture or
-    (family, theta)) and the model density f(.; theta).
+    """Density power divergence between a true density g (a Mixture) and
+    the model density f(.; theta).
 
     alpha = 0 returns the Kullback-Leibler form; alpha = 1 equals the
     squared L2 distance between the densities.
     """
-    g = as_mixture(g)
     fam.require_feasible(theta)
     if g.support != fam.support:
         raise DomainError(
             "true density and model family have incompatible supports")
     alpha = cfg.alpha
-    windows = [g.window(cfg.quad.tail_eps),
-               fam.window(theta, cfg.quad.tail_eps)]
-    hints = g.panel_hints(cfg.quad.tail_eps) \
-        + fam.panel_hints(theta, cfg.quad.tail_eps)
+    windows, hints = windows_and_hints(fam, theta, g, cfg.quad)
 
     if alpha == 0.0:
         def integrand(x):
@@ -133,91 +104,93 @@ def dpd_divergence(g, fam, theta, cfg):
 
 
 # ----------------------------------------------------------------------
-# criterion and empirical objective
+# criterion kernel and its views: criterion and empirical objective
 # ----------------------------------------------------------------------
 
-def criterion(fam, x, theta, cfg, cache=None):
-    """Per-observation criterion m(x, theta).
+def criterion_kernel(fam, theta, cfg, orders):
+    """The criterion (order 0), its gradient (order 1) and its Hessian
+    (order 2) at theta, for the ascending orders requested.
+
+    The model integrals these need are computed here, once per theta, in
+    one fused pass where no closed form exists; the alpha = 0 forms (log f,
+    S and -i) need none. Returns a function of the points x that evaluates
+    log f, S, i and f^alpha once and gives the tuple (m, dm, hess, s, fa):
+    per-point criterion and gradient, the symmetrised mean Hessian, the
+    score and f^alpha, with None for what was not requested.
+    """
+    wants_score = orders[-1] >= 1
+    if cfg.alpha == 0.0:
+        def evaluate(x):
+            s = fam.score(x, theta) if wants_score else None
+            m = fam.logpdf(x, theta) if 0 in orders else None
+            hess = (-np.mean(fam.info(x, theta), axis=0) if 2 in orders
+                    else None)
+            return (m, s if 1 in orders else None, _symmetrised(hess), s,
+                    np.ones(np.shape(x)))
+        return evaluate
+
+    alpha = cfg.alpha
+    kinds = [kind for order in orders for kind in _ORDER_KINDS[order]]
+    terms = iter(integral_terms(fam, theta, alpha, kinds, cfg.quad))
+    plain, score, outer, info = (next(terms) if kind in kinds else None
+                                 for kind in INTEGRAL_KINDS)
+
+    def evaluate(x):
+        s = fam.score(x, theta) if wants_score else None
+        fa = np.exp(alpha * fam.logpdf(x, theta))
+        m = (1 + 1 / alpha) * fa - plain if 0 in orders else None
+        dm = ((1 + alpha) * (s * fa[..., None] - score) if 1 in orders
+              else None)
+        hess = None
+        if 2 in orders:
+            point = (-fam.info(x, theta)
+                     + alpha * np.einsum("ni,nj->nij", s, s)) \
+                * fa[:, None, None]
+            bracket = (1 + alpha) * outer - info
+            hess = (1 + alpha) * (np.mean(point, axis=0) - bracket)
+        return m, dm, _symmetrised(hess), s, fa
+    return evaluate
+
+
+def _symmetrised(h):
+    return None if h is None else 0.5 * (h + h.T)
+
+
+def criterion(fam, x, theta, cfg):
+    """Per-observation criterion m(x, theta); x may be a scalar.
 
     For alpha > 0 this is (1 + 1/alpha) f^alpha(x) minus the model integral
-    of f^(1+alpha) (computed once per theta); for alpha = 0 it is
-    log f(x; theta).
+    of f^(1+alpha); for alpha = 0 it is log f(x; theta).
     """
-    if cfg.alpha == 0.0:
-        return fam.logpdf(x, theta)
-    fa = np.exp(cfg.alpha * fam.logpdf(x, theta))
-    const = model_term(fam, theta, cfg, PLAIN_POWER, cache)
-    return (1 + 1 / cfg.alpha) * fa - const
+    return criterion_kernel(fam, theta, cfg, (0,))(x)[0]
+
+
+def criterion_gradient(fam, x, theta, cfg):
+    """Per-observation criterion gradients, shape (n, p): the score for
+    alpha = 0, otherwise (1+alpha)(S f^alpha - model score-power term)."""
+    return criterion_kernel(fam, theta, cfg, (1,))(x)[1]
 
 
 def objective(fam, sample, theta, cfg):
     """Empirical objective: the sample average of the criterion."""
-    data = sample_data(fam, sample)
-    return float(np.mean(criterion(fam, data, theta, cfg, cache={})))
-
-
-def minimizing_objective(fam, sample, theta, cfg):
-    """The minimization form of the fitting problem: the model integral of
-    f^(1+alpha) minus (1 + 1/alpha) times the mean of f^alpha over the data.
-    Equal to -objective for alpha > 0; kept as an internal cross-check."""
-    if cfg.alpha == 0.0:
-        return -objective(fam, sample, theta, cfg)
-    data = sample_data(fam, sample)
-    const = model_term(fam, theta, cfg, PLAIN_POWER, cache=None)
-    fa = np.exp(cfg.alpha * fam.logpdf(data, theta))
-    return float(const - (1 + 1 / cfg.alpha) * np.mean(fa))
-
-
-def criterion_gradient(fam, x, theta, cfg, cache=None):
-    """Per-observation criterion gradients, shape (n, p): the score for
-    alpha = 0, otherwise (1+alpha)(S f^alpha - model score-power term)."""
-    s = fam.score(x, theta)
-    if cfg.alpha == 0.0:
-        return s
-    fa = np.exp(cfg.alpha * fam.logpdf(x, theta))
-    t = model_term(fam, theta, cfg, SCORE_POWER, cache)
-    return (1 + cfg.alpha) * (s * fa[:, None] - t[None, :])
+    m = criterion_kernel(fam, theta, cfg, (0,))(fam.validate_data(sample))[0]
+    return float(np.mean(m))
 
 
 def objective_gradient(fam, sample, theta, cfg):
     """Gradient of the empirical objective in natural coordinates."""
-    data = sample_data(fam, sample)
-    return np.mean(criterion_gradient(fam, data, theta, cfg, {}), axis=0)
+    dm = criterion_kernel(fam, theta, cfg, (1,))(fam.validate_data(sample))[1]
+    return np.mean(dm, axis=0)
+
+
+def objective_value_and_gradient(fam, sample, theta, cfg):
+    """Objective and gradient from one kernel evaluation."""
+    m, dm = criterion_kernel(fam, theta, cfg, (0, 1))(
+        fam.validate_data(sample))[:2]
+    return float(np.mean(m)), np.mean(dm, axis=0)
 
 
 def objective_hessian(fam, sample, theta, cfg):
     """Hessian of the empirical objective in natural coordinates."""
-    data = sample_data(fam, sample)
-    info = fam.info(data, theta)
-    if cfg.alpha == 0.0:
-        h = -np.mean(info, axis=0)
-        return 0.5 * (h + h.T)
-    alpha = cfg.alpha
-    cache = {}
-    s = fam.score(data, theta)
-    fa = np.exp(alpha * fam.logpdf(data, theta))
-    outer = np.einsum("ni,nj->nij", s, s)
-    point = (-info + alpha * outer) * fa[:, None, None]
-    bracket = ((1 + alpha) * model_term(fam, theta, cfg, SCORE_OUTER_POWER, cache)
-               - model_term(fam, theta, cfg, INFO_POWER, cache))
-    h = (1 + alpha) * (np.mean(point, axis=0) - bracket)
-    return 0.5 * (h + h.T)
-
-
-def objective_value_and_gradient(fam, sample, theta, cfg):
-    """Objective and gradient from one pass (one cache, one logpdf sweep)."""
-    data = sample_data(fam, sample)
-    if cfg.alpha == 0.0:
-        lf = fam.logpdf(data, theta)
-        s = fam.score(data, theta)
-        return float(np.mean(lf)), np.mean(s, axis=0)
-    cache = {}
-    alpha = cfg.alpha
-    lf = fam.logpdf(data, theta)
-    fa = np.exp(alpha * lf)
-    const = model_term(fam, theta, cfg, PLAIN_POWER, cache)
-    value = float((1 + 1 / alpha) * np.mean(fa) - const)
-    s = fam.score(data, theta)
-    t = model_term(fam, theta, cfg, SCORE_POWER, cache)
-    grad = (1 + alpha) * (np.mean(s * fa[:, None], axis=0) - t)
-    return value, grad
+    return criterion_kernel(fam, theta, cfg, (2,))(
+        fam.validate_data(sample))[2]

@@ -14,11 +14,6 @@ class DomainError(MindpdError):
     point outside the family's support where that is not allowed."""
 
 
-class BoundaryError(DomainError):
-    """Parameter point sits on the closed boundary of the feasible region,
-    where score and information are undefined."""
-
-
 class IngestionError(MindpdError):
     """Sample data rejected at ingestion (outside support, non-integer
     observations for a discrete family, malformed file)."""

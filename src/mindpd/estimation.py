@@ -16,15 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .asymptotics import empirical_sandwich
+from .asymptotics import SandwichCov, empirical_sandwich
 from .divergence import (DpdConfig, objective, objective_gradient,
-                         objective_hessian, objective_value_and_gradient,
-                         sample_data)
+                         objective_hessian, objective_value_and_gradient)
 from .errors import (EstimationError, NonconvergenceError,
                      NumericalError)
 from .families import (from_working, to_working, working_curvature,
                        working_jacobian)
 from .optimize import maximize
+from .quadrature import DEFAULT_QUAD
 
 SCALE_FLOOR_LOG = math.log(1e-8)
 
@@ -104,7 +104,6 @@ class FitResult:
 
     @classmethod
     def from_dict(cls, d):
-        from .asymptotics import SandwichCov
         sw = None
         if d.get("sandwich") is not None:
             s = d["sandwich"]
@@ -180,7 +179,7 @@ def fit(fam, sample, cfg, fit_cfg=FitConfig(), anchor=None):
     sandwich at theta_hat; if its J is singular they are marked unavailable
     rather than failing the fit.
     """
-    data = sample_data(fam, sample)
+    data = fam.validate_data(sample)
     n = data.shape[0]
     if n < fam.p + 1:
         raise EstimationError(
@@ -275,13 +274,9 @@ class FitPath:
     errors: list                   # error message or None per alpha
     cold_check_gaps: dict          # alpha -> max |warm - cold| (working)
 
-    def rows(self):
-        for a, r, e in zip(self.alphas, self.results, self.errors):
-            yield a, r, e
 
-
-def fit_path(fam, sample, alpha_grid, fit_cfg=FitConfig(), quad=None,
-             cold_check_every=3):
+def fit_path(fam, sample, alpha_grid, fit_cfg=FitConfig(),
+             quad=DEFAULT_QUAD, cold_check_every=3):
     """Fit along an ascending alpha grid, warm-starting each fit from the
     previous theta_hat; every cold_check_every-th grid point is re-fit cold
     and the working-coordinate gap recorded."""
@@ -290,9 +285,7 @@ def fit_path(fam, sample, alpha_grid, fit_cfg=FitConfig(), quad=None,
         raise ValueError("alpha grid must be nonempty")
     if any(b < a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha grid must be ascending")
-    from .quadrature import QuadratureSpec
-    quad = quad or QuadratureSpec()
-    data = sample_data(fam, sample)
+    data = fam.validate_data(sample)
 
     results, errors = [], []
     gaps = {}

@@ -30,7 +30,6 @@ LOG_FLOOR = -745.0
 
 REAL_LINE = "real_line"
 HALF_LINE = "half_line"
-INTERVAL = "interval"
 NONNEG_INT = "nonneg_int"
 
 # integral term kinds: integrals of f^(1+a), S f^(1+a), S S^t f^(1+a), i f^(1+a)
@@ -51,7 +50,7 @@ class Support:
     hi: float = math.inf
 
     def __post_init__(self):
-        if self.kind not in (REAL_LINE, HALF_LINE, INTERVAL, NONNEG_INT):
+        if self.kind not in (REAL_LINE, HALF_LINE, NONNEG_INT):
             raise ValueError(f"unknown support kind {self.kind!r}")
         if math.isfinite(self.lo) and math.isfinite(self.hi) and not self.lo < self.hi:
             raise ValueError("support lower bound must be below upper bound")
@@ -125,6 +124,24 @@ class FamilyModel(ABC):
     def logpdf(self, x, theta):
         """log f(x; theta), floored at LOG_FLOOR inside the support and
         -inf outside (continuous supports only)."""
+        out, scalar = self._log_density(x, theta)
+        return out[0] if scalar else out
+
+    def pdf(self, x, theta):
+        """f(x; theta); exactly 0 outside a continuous support."""
+        out, scalar = self._log_density(x, theta)
+        out = np.exp(out)
+        return out[0] if scalar else out
+
+    def score(self, x, theta):
+        """Gradient of log f in theta, shape (n, p) ((p,) for scalar x)."""
+        return self._in_support(self._score, x, theta, "score")
+
+    def info(self, x, theta):
+        """Information matrix -H_theta log f, shape (n, p, p)."""
+        return self._in_support(self._info, x, theta, "information")
+
+    def _log_density(self, x, theta):
         theta = self.require_feasible(theta)
         x, scalar = _as_array(x)
         inside = self.support.contains(x)
@@ -134,41 +151,16 @@ class FamilyModel(ABC):
         out = np.full(x.shape, -np.inf)
         if np.any(inside):
             out[inside] = np.maximum(self._logpdf(x[inside], theta), LOG_FLOOR)
-        return out[0] if scalar else out
+        return out, scalar
 
-    def pdf(self, x, theta):
-        """f(x; theta); exactly 0 outside a continuous support."""
-        theta = self.require_feasible(theta)
-        x, scalar = _as_array(x)
-        inside = self.support.contains(x)
-        if self.support.is_discrete and not np.all(inside):
-            raise DomainError(
-                f"{self.name}: evaluation points outside the integer support")
-        out = np.zeros(x.shape)
-        if np.any(inside):
-            out[inside] = np.exp(
-                np.maximum(self._logpdf(x[inside], theta), LOG_FLOOR))
-        return out[0] if scalar else out
-
-    def score(self, x, theta):
-        """Gradient of log f in theta, shape (n, p) ((p,) for scalar x)."""
+    def _in_support(self, method, x, theta, what):
         theta = self.require_feasible(theta)
         x, scalar = _as_array(x)
         if not np.all(self.support.contains(x)):
             raise DomainError(
-                f"{self.name}: score requested outside the support")
-        s = self._score(x, theta)
-        return s[0] if scalar else s
-
-    def info(self, x, theta):
-        """Information matrix -H_theta log f, shape (n, p, p)."""
-        theta = self.require_feasible(theta)
-        x, scalar = _as_array(x)
-        if not np.all(self.support.contains(x)):
-            raise DomainError(
-                f"{self.name}: information requested outside the support")
-        m = self._info(x, theta)
-        return m[0] if scalar else m
+                f"{self.name}: {what} requested outside the support")
+        out = method(x, theta)
+        return out[0] if scalar else out
 
     # -- integration support --------------------------------------------
 
@@ -619,10 +611,6 @@ class Mixture:
     def single(cls, fam, theta):
         return cls([(fam, theta, 1.0)])
 
-    @property
-    def is_discrete(self):
-        return self.support.is_discrete
-
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape)
@@ -673,40 +661,65 @@ def model_density(fam, theta):
 # Model integral terms
 # ======================================================================
 
-def integral_term(fam, theta, alpha, kind, quad=DEFAULT_QUAD, method="auto"):
-    """Model integral of kind over the support at (theta, alpha).
+def integral_terms(fam, theta, alpha, kinds, quad=DEFAULT_QUAD,
+                   method="auto"):
+    """Model integrals of the given kinds over the support at (theta, alpha),
+    in the order given: plain_power -> scalar, score_power -> (p,),
+    score_outer_power / info_power -> (p, p).
 
-    kinds: plain_power -> scalar, score_power -> (p,),
-    score_outer_power / info_power -> (p, p). Closed forms are used when the
-    family flags them unless method="quadrature" forces the numeric path;
-    method="closed" requires one.
+    Closed forms are used when the family flags them unless
+    method="quadrature" forces the numeric path; method="closed" requires
+    one. The numeric kinds are stacked as columns of one integrand, so they
+    share a single quadrature or summation pass.
     """
-    if kind not in INTEGRAL_KINDS:
-        raise ValueError(f"unknown integral kind {kind!r}")
+    for kind in kinds:
+        if kind not in INTEGRAL_KINDS:
+            raise ValueError(f"unknown integral kind {kind!r}")
     if alpha < 0:
         raise DomainError("alpha must be nonnegative")
     theta = fam.require_feasible(theta)
-    if method == "closed" or (method == "auto" and kind in fam.closed_forms):
-        return fam.closed_integral(kind, theta, alpha)
-    if method not in ("auto", "quadrature"):
+    if method not in ("auto", "quadrature", "closed"):
         raise ValueError(f"unknown integral method {method!r}")
+    numeric = [kind for kind in kinds if method == "quadrature" or (
+        method == "auto" and kind not in fam.closed_forms)]
+    want_score = SCORE_POWER in numeric or SCORE_OUTER_POWER in numeric
+    p = fam.p
 
     def integrand(x):
         w = np.exp((1 + alpha) * fam.logpdf(x, theta))
-        if kind == PLAIN_POWER:
-            return w
-        s = fam.score(x, theta)
-        if kind == SCORE_POWER:
-            return s * w[:, None]
-        if kind == SCORE_OUTER_POWER:
-            return np.einsum("ni,nj->nij", s, s) * w[:, None, None]
-        return fam.info(x, theta) * w[:, None, None]
+        s = fam.score(x, theta) if want_score else None
+        cols = []
+        for kind in numeric:
+            if kind == PLAIN_POWER:
+                cols.append(w[:, None])
+            elif kind == SCORE_POWER:
+                cols.append(s * w[:, None])
+            else:
+                m = (np.einsum("ni,nj->nij", s, s)
+                     if kind == SCORE_OUTER_POWER else fam.info(x, theta))
+                cols.append((m * w[:, None, None]).reshape(-1, p * p))
+        return np.concatenate(cols, axis=1)
 
-    value, _ = integrate_model(fam.support, integrand,
-                               windows=[fam.window(theta, quad.tail_eps)],
-                               quad=quad,
-                               hints=fam.panel_hints(theta, quad.tail_eps))
-    return float(value) if kind == PLAIN_POWER else value
+    if numeric:
+        flat, _ = integrate_model(fam.support, integrand,
+                                  windows=[fam.window(theta, quad.tail_eps)],
+                                  quad=quad,
+                                  hints=fam.panel_hints(theta, quad.tail_eps))
+    out = []
+    for kind in kinds:
+        if kind not in numeric:
+            out.append(fam.closed_integral(kind, theta, alpha))
+            continue
+        size = {PLAIN_POWER: 1, SCORE_POWER: p}.get(kind, p * p)
+        value, flat = flat[:size], flat[size:]
+        out.append(float(value[0]) if kind == PLAIN_POWER
+                   else value if kind == SCORE_POWER else value.reshape(p, p))
+    return tuple(out)
+
+
+def integral_term(fam, theta, alpha, kind, quad=DEFAULT_QUAD, method="auto"):
+    """Model integral of one kind; see integral_terms."""
+    return integral_terms(fam, theta, alpha, (kind,), quad, method)[0]
 
 
 def integrate_model(support, integrand, windows, quad=DEFAULT_QUAD, hints=()):

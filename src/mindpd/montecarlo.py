@@ -24,10 +24,7 @@ from .divergence import DpdConfig
 from .errors import MindpdError, StudyError
 from .estimation import FitConfig, fit
 from .families import Mixture, to_working
-from .quadrature import QuadratureSpec
-
-# a data generator is exactly a finite mixture of catalog members
-DataGenerator = Mixture
+from .quadrature import DEFAULT_QUAD, QuadratureSpec
 
 CONSISTENCY = "consistency"
 NORMALITY = "normality"
@@ -383,11 +380,10 @@ def _make_executor(cfg):
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def efficiency_curve(fam, theta0, alpha_grid, quad=None):
+def efficiency_curve(fam, theta0, alpha_grid, quad=DEFAULT_QUAD):
     """Asymptotic relative efficiency per coordinate at the model, from
     quadrature sandwiches only (no simulation): the alpha=0 variance over
     the alpha variance."""
-    quad = quad or QuadratureSpec()
     theta0 = np.asarray(theta0, dtype=float)
     g = Mixture.single(fam, theta0)
     base = sandwich(fam, theta0, g, DpdConfig(alpha=0.0, quad=quad)).sigma

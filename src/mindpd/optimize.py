@@ -22,11 +22,11 @@ class AscentResult:
     converged: bool
     at_bound: bool
     n_evals: int
-    message: str = ""
 
 
 class _Tracker:
-    """Wraps value_and_grad, remembering the best point seen."""
+    """Wraps value_and_grad, counting every evaluation and remembering the
+    best point the quasi-Newton stage saw."""
 
     def __init__(self, value_and_grad):
         self.fn = value_and_grad
@@ -34,9 +34,13 @@ class _Tracker:
         self.best_value = -np.inf
         self.n_evals = 0
 
-    def __call__(self, z):
-        v, g = self.fn(np.asarray(z, dtype=float))
+    def evaluate(self, z):
+        """Counted evaluation that leaves the best-point record alone."""
         self.n_evals += 1
+        return self.fn(z)
+
+    def __call__(self, z):
+        v, g = self.evaluate(np.asarray(z, dtype=float))
         if np.isfinite(v) and v > self.best_value:
             self.best_value = v
             self.best_z = np.array(z, dtype=float)
@@ -78,7 +82,7 @@ def maximize(value_and_grad, z0, hessian=None, lower=None,
     # never return anything worse than the best point evaluated
     if track.best_value > value + 1e-12:
         z = track.best_z.copy()
-        value, grad = track.fn(z)
+        value, grad = track.evaluate(z)
 
     at_bound = False
     if lower is not None:
@@ -88,12 +92,11 @@ def maximize(value_and_grad, z0, hessian=None, lower=None,
     converged = gnorm <= grad_tol and not at_bound
     return AscentResult(z=z, value=float(value), grad_norm=gnorm,
                         converged=converged, at_bound=at_bound,
-                        n_evals=track.n_evals,
-                        message=str(getattr(res, "message", "")))
+                        n_evals=track.n_evals)
 
 
 def _newton_polish(track, hessian, z, lower, grad_tol, step_tol):
-    value, grad = track.fn(z)
+    value, grad = track.evaluate(z)
     if hessian is None:
         return z, value, grad
     target = max(grad_tol * 1e-6, 1e-13)
@@ -114,7 +117,7 @@ def _newton_polish(track, hessian, z, lower, grad_tol, step_tol):
             if lower is not None:
                 z_new = np.maximum(z_new, np.where(np.isfinite(lower),
                                                    lower, -np.inf))
-            v_new, g_new = track.fn(z_new)
+            v_new, g_new = track.evaluate(z_new)
             # sufficient increase; near the optimum equal values with a
             # smaller gradient also count as progress
             if np.isfinite(v_new) and (

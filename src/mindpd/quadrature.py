@@ -1,10 +1,9 @@
 """Numerical integration engine for all model integrals.
 
 Continuous supports use fixed-order Gauss-Legendre panels with adaptive
-bisection as a fallback; an optional Gauss-Hermite scheme covers full-line
-tails. Integer supports degenerate to tail-bounded sums. Integrands may be
-scalar-, vector- or matrix-valued (vectorized over the evaluation points:
-``fn(x)`` maps ``(n,)`` to ``(n, *value_shape)``).
+bisection as a fallback. Integer supports degenerate to tail-bounded sums.
+Integrands may be scalar-, vector- or matrix-valued (vectorized over the
+evaluation points: ``fn(x)`` maps ``(n,)`` to ``(n, *value_shape)``).
 """
 from __future__ import annotations
 
@@ -14,12 +13,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalError
-
-GAUSS_LEGENDRE = "gauss_legendre"
-GAUSS_HERMITE = "gauss_hermite"
-ADAPTIVE = "adaptive"
-
-_SCHEMES = (GAUSS_LEGENDRE, GAUSS_HERMITE, ADAPTIVE)
 
 
 @dataclass(frozen=True)
@@ -33,7 +26,6 @@ class QuadratureSpec:
     contribute less than abs_tol (tail mass bound 1e-12 via the window).
     """
 
-    scheme: str = GAUSS_LEGENDRE
     nodes: int = 128
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
@@ -41,8 +33,6 @@ class QuadratureSpec:
     max_subdivisions: int = 14
 
     def __post_init__(self):
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
         if self.nodes < 16:
             raise ValueError("node count must be at least 16")
         if self.abs_tol <= 0 or self.rel_tol <= 0 or self.tail_eps <= 0:
@@ -57,12 +47,6 @@ DEFAULT_QUAD = QuadratureSpec()
 @lru_cache(maxsize=32)
 def _leggauss(n):
     x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
-@lru_cache(maxsize=8)
-def _hermgauss(n):
-    x, w = np.polynomial.hermite.hermgauss(n)
     return x, w
 
 
@@ -87,8 +71,6 @@ def integrate_continuous(fn, lo, hi, spec=DEFAULT_QUAD, breakpoints=()):
             f"integration window [{lo:g}, {hi:g}] is not finite")
     if hi <= lo:
         raise ValueError("empty integration window")
-    if spec.scheme == GAUSS_HERMITE:
-        return _integrate_hermite(fn, lo, hi, spec)
 
     edges = [lo] + sorted(b for b in breakpoints if lo < b < hi) + [hi]
     # stack of (lo, hi, coarse_value, depth)
@@ -122,26 +104,6 @@ def integrate_continuous(fn, lo, hi, spec=DEFAULT_QUAD, breakpoints=()):
             error_estimate=total_err,
         )
     return total, total_err
-
-
-def _integrate_hermite(fn, lo, hi, spec):
-    """Gauss-Hermite on a window: nodes scaled so the Hermite abscissae span
-    [lo, hi]; exact-ish for Gaussian-like integrands with full-line tails."""
-    t, w = _hermgauss(spec.nodes)
-    center = 0.5 * (lo + hi)
-    scale = 0.5 * (hi - lo) / t[-1]
-    pts = center + scale * t
-    vals = np.asarray(fn(pts), dtype=float)
-    weights = w * np.exp(t * t) * scale
-    value = np.tensordot(weights, vals, axes=(0, 0))
-    # error estimate by comparison with the Legendre path
-    ref, ref_err = integrate_continuous(
-        fn, lo, hi,
-        QuadratureSpec(nodes=spec.nodes, abs_tol=spec.abs_tol,
-                       rel_tol=spec.rel_tol, tail_eps=spec.tail_eps,
-                       max_subdivisions=spec.max_subdivisions))
-    err = float(np.max(np.abs(value - ref))) + ref_err
-    return value, err
 
 
 def sum_discrete(fn, k_lo, k_hi, spec=DEFAULT_QUAD, block=64, max_blocks=512):

@@ -7,7 +7,7 @@ from mindpd.asymptotics import (compute_J, compute_K,
                                 diagnose_regularity, dpd_projection,
                                 empirical_sandwich, population_gradient,
                                 population_objective, sandwich)
-from mindpd.divergence import DpdConfig
+from mindpd.divergence import DpdConfig, objective_hessian
 from mindpd.errors import EstimationError
 from mindpd.families import (SCORE_OUTER_POWER, Mixture, integral_term,
                              model_density)
@@ -188,6 +188,18 @@ def test_empirical_duplication_invariant(normal):
     b = empirical_sandwich(normal, STD, np.concatenate([data, data]), cfg)
     assert np.allclose(a.K, b.K, rtol=1e-12)
     assert np.allclose(a.J, b.J, rtol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_empirical_j_is_scaled_objective_hessian(alpha):
+    cfg = DpdConfig(alpha=alpha)
+    rng = np.random.default_rng(4)
+    for fam, thetas in family_grid():
+        data = fam.sample(thetas[0], 60, rng)
+        sw = empirical_sandwich(fam, thetas[0], data, cfg)
+        H = objective_hessian(fam, data, thetas[0], cfg)
+        assert np.max(np.abs(sw.J + H / (1 + alpha))) \
+            <= 1e-12 * np.max(np.abs(H)), fam.name
 
 
 def test_empirical_converges_to_model(normal):

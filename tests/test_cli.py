@@ -3,10 +3,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mindpd.cli import (EXIT_CONFIG, EXIT_OK, main, parse_generator,
                         read_data_csv)
-from mindpd.errors import ConfigError, IngestionError
+from mindpd.errors import ConfigError, IngestionError, MindpdError
 from mindpd.estimation import FitResult
 
 from conftest import FIXTURES
@@ -65,6 +67,25 @@ def test_parse_generator_bad_weights():
         parse_generator("0.9*normal:0,1+0.2*normal:10,1")
     with pytest.raises(ConfigError):
         parse_generator("normal")
+
+
+# pieces of shorthand and JSON specs, so that generated text reaches both
+# parsers rather than failing at the first character
+_SPEC_TOKENS = st.sampled_from([
+    "normal", "normal_loc", "gpd", "poisson", "cauchy", ":", ",", "+", "*",
+    "0", "1", "0.5", "-2", "1e400", "abc", "nan", " ", "{", "}", "[", "]",
+    '"components"', '"family"', '"theta"', '"weight"', '"args"', '"sigma"',
+    '"normal"', "null", "true"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.lists(_SPEC_TOKENS).map("".join)))
+def test_parse_generator_raises_only_package_errors(text):
+    assume(not text.strip().startswith("@"))
+    try:
+        parse_generator(text)
+    except MindpdError:
+        pass
 
 
 # ------------------------------------------------------------- fit command
@@ -222,6 +243,46 @@ def test_sweep_contaminated_data_moves_toward_zero(tmp_path):
     mus = [abs(float(r[3])) for r in rows]
     assert mus[1] < mus[0]
     assert mus[2] < mus[0]
+
+
+_SIM = ["simulate", "--family", "normal", "--n", "50", "--reps", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--family", "normal", "--theta", "0,abc", "--alpha-grid", "0"],
+    ["diagnose", "--family", "normal", "--theta", "0,abc"],
+    ["sweep", "--family", "normal", "--theta", "0,1", "--alpha-grid", "0,x"],
+    _SIM + ["--generator", "normal:0,1", "--alpha", "0.5,zz"],
+    ["simulate", "--family", "normal", "--n", "50,x", "--reps", "1",
+     "--generator", "normal:0,1"],
+    _SIM + ["--generator", "normal:0,1", "--reps", "0"],
+    _SIM + ["--generator", "@missing.json"],
+    _SIM + ["--generator", "normal:0,abc"],
+    _SIM + ["--generator", '{"components": [{"family": "normal"}]}'],
+    _SIM + ["--generator", '{"components": [{"family": "normal", '
+                           '"theta": [0, 1], "args": {"sigma": 2}}]}'],
+    ["fit", "--family", "normal", "--data", NORMAL20, "--starts", "0"],
+    ["fit", "--family", "normal", "--data", NORMAL20, "--quad-nodes", "8"],
+])
+def test_malformed_input_exit_2(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+
+def test_config_file_bad_number_exit_2(tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"alpha": "abc"}))
+    code = main(["fit", "--config", str(cfgfile), "--family", "normal",
+                 "--data", NORMAL20])
+    assert code == EXIT_CONFIG
+
+
+def test_generator_shorthand_not_shadowed_by_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "normal:0,1").write_text(
+        json.dumps({"components": [{"family": "exponential",
+                                    "theta": [2.0]}]}))
+    assert parse_generator("normal:0,1").components[0][0].name == "normal"
 
 
 def test_sweep_needs_data_or_theta():

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mindpd.divergence import (DpdConfig, Sample, criterion,
-                               criterion_gradient, dpd_divergence,
-                               minimizing_objective, objective,
-                               objective_gradient, objective_hessian)
+from mindpd.divergence import (DpdConfig, criterion, dpd_divergence,
+                               objective, objective_gradient,
+                               objective_hessian,
+                               objective_value_and_gradient)
 from mindpd.errors import DomainError, IngestionError
-from mindpd.families import Mixture, Normal, model_density
+from mindpd.families import (PLAIN_POWER, Mixture, Normal, integral_term,
+                             model_density)
 
 from conftest import OBJ10, family_grid, fd_gradient, random_feasible
 
@@ -24,12 +25,15 @@ def test_config_rejects_negative_alpha():
 
 
 def test_sample_validates(normal, poisson):
-    s = Sample.from_values(normal, np.array([0.0, 1.0]))
-    assert s.n == 2
+    data = normal.validate_data([0.0, 1.0])
+    assert data.shape == (2,)
     with pytest.raises(IngestionError):
-        Sample.from_values(poisson, np.array([1.5]))
+        poisson.validate_data(np.array([1.5]))
     with pytest.raises(IngestionError):
-        Sample.from_values(normal, np.array([np.nan]))
+        normal.validate_data(np.array([np.nan]))
+    with pytest.raises(IngestionError):
+        objective(poisson, np.array([1.5]), np.array([2.0]),
+                  DpdConfig(alpha=0.5))
 
 
 # ------------------------------------------------------------- divergence
@@ -163,11 +167,16 @@ def test_objective_frozen_brute_force(normal):
 
 
 def test_minimizing_form_is_negated_objective():
-    cfg = DpdConfig(alpha=0.5)
+    # the minimization form of the fitting problem: the model integral of
+    # f^(1+alpha) minus (1 + 1/alpha) times the mean of f^alpha
+    alpha = 0.5
+    cfg = DpdConfig(alpha=alpha)
     for fam, thetas in family_grid():
         rng = np.random.default_rng(5)
         data = fam.sample(thetas[0], 50, rng)
-        lhs = minimizing_objective(fam, data, thetas[0], cfg)
+        fa = np.exp(alpha * fam.logpdf(data, thetas[0]))
+        lhs = (integral_term(fam, thetas[0], alpha, PLAIN_POWER)
+               - (1 + 1 / alpha) * np.mean(fa))
         rhs = -objective(fam, data, thetas[0], cfg)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -230,10 +239,22 @@ def test_alpha_zero_exponential_hessian(exponential):
     assert H[0, 0] == pytest.approx(-1.0 / lam ** 2, rel=1e-12)
 
 
-def test_criterion_gradient_cache_consistency(normal):
-    cfg = DpdConfig(alpha=0.5)
-    cache = {}
-    a = criterion_gradient(normal, OBJ10, STD, cfg, cache)
-    b = criterion_gradient(normal, OBJ10, STD, cfg, cache)
-    assert np.array_equal(a, b)
-    assert len(cache) == 1
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_value_and_gradient_equal_separate_views(alpha):
+    cfg = DpdConfig(alpha=alpha)
+    rng = np.random.default_rng(24)
+    for fam, thetas in family_grid():
+        data = fam.sample(thetas[0], 40, rng)
+        theta = thetas[1]
+        value, grad = objective_value_and_gradient(fam, data, theta, cfg)
+        value1 = objective(fam, data, theta, cfg)
+        grad1 = objective_gradient(fam, data, theta, cfg)
+        if alpha == 0.0 or PLAIN_POWER in fam.closed_forms:
+            assert value == value1, fam.name
+            assert np.array_equal(grad, grad1), fam.name
+        else:
+            # the views alone sum f^(1+alpha) or S f^(1+alpha) by itself;
+            # together the two are summed in one fused pass, in another
+            # order of floating-point additions
+            assert value == pytest.approx(value1, rel=1e-14, abs=0.0)
+            assert np.allclose(grad, grad1, rtol=1e-14, atol=0.0)

@@ -193,3 +193,21 @@ def test_contaminated_fixture_bias_direction(normal):
     assert abs(mu_robust) < abs(mu_mle)
     assert abs(mu_mle) > 0.8          # the MLE is dragged by the outliers
     assert abs(mu_robust) < 0.15
+
+
+def test_start_trace_counts_every_evaluation(gpd, monkeypatch):
+    # Newton-polish evaluations count too; the maximum likelihood anchor
+    # runs at alpha = 0 and belongs to no start
+    import mindpd.estimation as est
+    calls = []
+    original = est.objective_value_and_gradient
+
+    def counted(fam, data, theta, cfg):
+        if cfg.alpha == 0.5:
+            calls.append(1)
+        return original(fam, data, theta, cfg)
+
+    monkeypatch.setattr(est, "objective_value_and_gradient", counted)
+    data = gpd.sample(np.array([0.3, 1.2]), 2000, np.random.default_rng(8))
+    res = fit(gpd, data, DpdConfig(alpha=0.5), FitConfig(starts=2))
+    assert sum(t["n_evals"] for t in res.start_trace) == len(calls)

@@ -9,7 +9,7 @@ from mindpd.errors import DomainError, IngestionError
 from mindpd.families import (INTEGRAL_KINDS, LOG_FLOOR, PLAIN_POWER,
                              SCORE_POWER, Mixture, Normal, Support,
                              from_working, get_family, integral_term,
-                             to_working, working_jacobian)
+                             integral_terms, to_working, working_jacobian)
 from mindpd.quadrature import QuadratureSpec
 
 from conftest import family_grid, fd_gradient, random_feasible
@@ -158,6 +158,23 @@ def test_closed_forms_match_quadrature(alpha):
                     (fam.name, kind, alpha)
 
 
+@pytest.mark.parametrize("alpha", [0.25, 0.5])
+def test_fused_terms_match_single_kinds(alpha, gpd, poisson):
+    # one vector-valued pass over all four kinds against one pass per kind
+    for fam, theta in ((gpd, np.array([0.2, 1.5])),
+                       (gpd, np.array([0.45, 0.6])),
+                       (poisson, np.array([3.0])),
+                       (poisson, np.array([11.0]))):
+        fused = integral_terms(fam, theta, alpha, INTEGRAL_KINDS,
+                               method="quadrature")
+        for kind, value in zip(INTEGRAL_KINDS, fused):
+            single = np.asarray(integral_term(fam, theta, alpha, kind,
+                                              method="quadrature"))
+            assert np.shape(value) == single.shape
+            rel = np.max(np.abs(value - single)) / np.max(np.abs(single))
+            assert rel < 1e-12, (fam.name, kind)
+
+
 def test_plain_power_values(normal):
     # any family at alpha=0 integrates to 1; frozen Gaussian value at alpha=1
     assert integral_term(normal, np.array([0.0, 1.0]), 0.0,
@@ -219,7 +236,7 @@ def test_support_validation():
     with pytest.raises(ValueError):
         Support("circle")
     with pytest.raises(ValueError):
-        Support("interval", lo=2.0, hi=1.0)
+        Support("half_line", lo=2.0, hi=1.0)
     s = Support("nonneg_int")
     assert s.is_discrete
     assert not Support("real_line").is_discrete

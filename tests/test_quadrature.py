@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from mindpd.errors import NumericalError
-from mindpd.quadrature import (GAUSS_HERMITE, QuadratureSpec,
-                               integrate_continuous, sum_discrete)
+from mindpd.quadrature import (QuadratureSpec, integrate_continuous,
+                               sum_discrete)
 
 
 def test_spec_validation():
@@ -13,8 +13,6 @@ def test_spec_validation():
         QuadratureSpec(abs_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(scheme="midpoint")
 
 
 def test_polynomial_exact():
@@ -43,14 +41,6 @@ def test_vector_valued_integrand():
     fn = lambda x: np.stack([np.ones_like(x), x, x * x], axis=1)
     val, _ = integrate_continuous(fn, 0.0, 2.0)
     assert np.allclose(val, [2.0, 2.0, 8.0 / 3.0], rtol=1e-12)
-
-
-def test_gauss_hermite_matches_legendre():
-    spec = QuadratureSpec(scheme=GAUSS_HERMITE, nodes=96)
-    fn = lambda x: np.exp(-0.5 * (x - 0.3) ** 2) * (1 + x ** 2)
-    val, err = integrate_continuous(fn, -10.0, 10.0, spec)
-    ref, _ = integrate_continuous(fn, -10.0, 10.0)
-    assert abs(val - ref) < 1e-8
 
 
 def test_nonconvergence_raises():
