@@ -119,10 +119,11 @@ def _number(resolved, key, kind=float):
                           f"got {resolved[key]!r}") from None
 
 
-def _config(cls, **kwargs):
-    """Build a settings object; its validation errors are config errors."""
+def _config(fn, *args, **kwargs):
+    """Build a settings object, or run a call that validates its settings
+    first (fit_path checks the alpha grid); ValueErrors are config errors."""
     try:
-        return cls(**kwargs)
+        return fn(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -138,6 +139,10 @@ def _load_config_file(path):
     return doc
 
 
+# options used as text; numeric options are converted where they are read
+_STRING_OPTIONS = ("family", "data", "generator", "out", "format", "study")
+
+
 def resolve_options(args, defaults):
     """flags > config file > defaults; returns the resolved dict."""
     resolved = dict(defaults)
@@ -147,6 +152,11 @@ def resolve_options(args, defaults):
         if unknown:
             raise ConfigError(
                 f"unknown config keys: {sorted(unknown)}")
+        for key in _STRING_OPTIONS:
+            val = file_opts.get(key)
+            if val is not None and not isinstance(val, str):
+                raise ConfigError(f"config key {key!r} must be a string, "
+                                  f"got {val!r}")
         resolved.update(file_opts)
     for key in defaults:
         val = getattr(args, key, None)
@@ -277,8 +287,8 @@ def cmd_sweep(args):
             {k: resolved[k] for k in sorted(resolved) if k != "out"}))
     if resolved["data"]:
         data = read_data_csv(resolved["data"])
-        path = fit_path(fam, data, grid, _fit_cfg_from(resolved),
-                        quad=_quad_from(resolved))
+        path = _config(fit_path, fam, data, grid, _fit_cfg_from(resolved),
+                       quad=_quad_from(resolved))
         cols = (["alpha", "converged", "error"]
                 + [f"est_{p}" for p in fam.param_names]
                 + [f"se_{p}" for p in fam.param_names])

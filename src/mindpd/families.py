@@ -440,10 +440,13 @@ class Poisson(FamilyModel):
         return (x / theta[0] ** 2)[:, None, None]
 
     def window(self, theta, tail_eps):
-        hi = float(stats.poisson.isf(tail_eps, theta[0]))
-        if not math.isfinite(hi):
-            hi = theta[0] + 40 * math.sqrt(theta[0] + 1)
-        return 0.0, hi + 10.0
+        lam = theta[0]
+        lo = float(stats.poisson.ppf(tail_eps, lam))
+        hi = float(stats.poisson.isf(tail_eps, lam))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            lo = lam - 40 * math.sqrt(lam + 1)
+            hi = lam + 40 * math.sqrt(lam + 1)
+        return max(lo - 10.0, 0.0), hi + 10.0
 
     def sample(self, theta, n, rng):
         return rng.poisson(theta[0], n).astype(float)

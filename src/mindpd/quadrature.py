@@ -1,9 +1,12 @@
 """Numerical integration engine for all model integrals.
 
-Continuous supports use fixed-order Gauss-Legendre panels with adaptive
-bisection as a fallback. Integer supports degenerate to tail-bounded sums.
-Integrands may be scalar-, vector- or matrix-valued (vectorized over the
-evaluation points: ``fn(x)`` maps ``(n,)`` to ``(n, *value_shape)``).
+Continuous supports use level-synchronous batched Gauss-Legendre bisection:
+fixed-order panels, bisected level by level, where each level evaluates the
+halves of every still-active panel in one integrand call (Gander and
+Gautschi's adaptive scheme, breadth first). Integer supports degenerate to
+tail-bounded sums. Integrands may be scalar-, vector- or matrix-valued
+(vectorized over the evaluation points: ``fn(x)`` maps ``(n,)`` to
+``(n, *value_shape)``).
 """
 from __future__ import annotations
 
@@ -14,16 +17,23 @@ import numpy as np
 
 from .errors import NumericalError
 
+# most points passed to an integrand in one call; wider bisection levels are
+# split over several calls so peak memory stays bounded at any depth
+MAX_CALL_NODES = 2 ** 16
+# widest window sum_discrete sums in one call; wider ones raise NumericalError
+MAX_SUM_TERMS = 2 ** 20
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Quadrature configuration.
 
-    nodes is the Gauss order per panel (>= 16). tail_eps controls how far
-    windows extend into the tails of the participating densities; the default
-    1e-15 reproduces the 8-standard-deviation window for the Normal family.
-    For discrete supports the engine sums until the appended tail blocks
-    contribute less than abs_tol (tail mass bound 1e-12 via the window).
+    nodes is the Gauss order per panel (16 to MAX_CALL_NODES). tail_eps
+    controls how far windows extend into the tails of the participating
+    densities; the default 1e-15 reproduces the 8-standard-deviation window
+    for the Normal family. For discrete supports the engine sums until the
+    appended tail blocks contribute less than abs_tol (tail mass bound
+    1e-12 via the window).
     """
 
     nodes: int = 128
@@ -33,8 +43,9 @@ class QuadratureSpec:
     max_subdivisions: int = 14
 
     def __post_init__(self):
-        if self.nodes < 16:
-            raise ValueError("node count must be at least 16")
+        if not 16 <= self.nodes <= MAX_CALL_NODES:
+            raise ValueError(
+                f"node count must be between 16 and {MAX_CALL_NODES}")
         if self.abs_tol <= 0 or self.rel_tol <= 0 or self.tail_eps <= 0:
             raise ValueError("tolerances must be strictly positive")
         if self.max_subdivisions < 1:
@@ -50,21 +61,48 @@ def _leggauss(n):
     return x, w
 
 
-def _panel_value(fn, lo, hi, nodes):
+def _panel_values(fn, a, b, nodes):
+    """Gauss-Legendre values of the panels [a_i, b_i], shape
+    (len(a), *value_shape), from at most MAX_CALL_NODES nodes per call."""
     x, w = _leggauss(nodes)
-    half = 0.5 * (hi - lo)
-    pts = half * x + 0.5 * (hi + lo)
-    vals = np.asarray(fn(pts), dtype=float)
-    return half * np.tensordot(w, vals, axes=(0, 0))
+    per_call = MAX_CALL_NODES // nodes
+    out = []
+    for i in range(0, len(a), per_call):
+        half = 0.5 * (b[i:i + per_call] - a[i:i + per_call])
+        mid = 0.5 * (b[i:i + per_call] + a[i:i + per_call])
+        pts = (half[:, None] * x + mid[:, None]).ravel()
+        vals = np.asarray(fn(pts), dtype=float)
+        shape = (len(half),) + vals.shape[1:]
+        sums = w @ vals.reshape(len(half), nodes, -1)
+        out.append((half[:, None] * sums).reshape(shape))
+    return np.concatenate(out)
+
+
+def _peak(v):
+    """Largest absolute entry of each panel's value."""
+    return np.abs(v).reshape(len(v), -1).max(axis=1)
 
 
 def integrate_continuous(fn, lo, hi, spec=DEFAULT_QUAD, breakpoints=()):
     """Integrate a vectorized integrand over [lo, hi].
 
-    breakpoints (interior, sorted or not) seed the initial panel layout so
-    adaptivity starts where the integrand is known to change character.
-    Returns (value, error_estimate). Raises NumericalError when the estimate
-    stays above tolerance after max_subdivisions bisection levels.
+    fn maps points of shape (n,) to values of shape (n, *value_shape). One
+    call may receive the nodes of many panels, and of panels far apart:
+    fn must treat every point on its own. breakpoints (interior, sorted or
+    not) seed the initial panel layout so adaptivity starts where the
+    integrand is known to change character.
+
+    Bisection is level-synchronous: the coarse values of all initial panels
+    come from one call, then each level evaluates both halves of every
+    still-active panel in one call (split into calls of at most
+    MAX_CALL_NODES nodes) and accepts or bisects all of them at once.
+    A panel at depth d is accepted when |fine - coarse| is at most
+    max(abs_tol, rel_tol * scale) * 0.5**min(d, 4), where scale is the
+    larger of |fine| and |accepted total + this level's fine values|, or
+    when d reaches max_subdivisions.
+
+    Returns (value, error_estimate). Raises NumericalError when the summed
+    error estimate exceeds 4 times the tolerance of the total.
     """
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise NumericalError(
@@ -72,29 +110,34 @@ def integrate_continuous(fn, lo, hi, spec=DEFAULT_QUAD, breakpoints=()):
     if hi <= lo:
         raise ValueError("empty integration window")
 
-    edges = [lo] + sorted(b for b in breakpoints if lo < b < hi) + [hi]
-    # stack of (lo, hi, coarse_value, depth)
-    stack = [(a, b, _panel_value(fn, a, b, spec.nodes), 0)
-             for a, b in zip(edges[:-1], edges[1:])]
-    total = np.zeros_like(stack[0][2])
+    edges = np.array([lo] + sorted(b for b in breakpoints if lo < b < hi)
+                     + [hi], dtype=float)
+    a, b = edges[:-1], edges[1:]
+    coarse = _panel_values(fn, a, b, spec.nodes)
+    total = np.zeros(coarse.shape[1:])
     total_err = 0.0
-    while stack:
-        a, b, coarse, depth = stack.pop()
+    for depth in range(spec.max_subdivisions + 1):
         mid = 0.5 * (a + b)
-        left = _panel_value(fn, a, mid, spec.nodes)
-        right = _panel_value(fn, mid, b, spec.nodes)
+        halves = _panel_values(fn, np.concatenate([a, mid]),
+                               np.concatenate([mid, b]), spec.nodes)
+        left, right = halves[:len(a)], halves[len(a):]
         fine = left + right
-        err = float(np.max(np.abs(fine - coarse)))
-        scale = max(float(np.max(np.abs(fine))), float(np.max(np.abs(total))))
-        tol = max(spec.abs_tol, spec.rel_tol * scale)
-        if err <= tol * 0.5 ** min(depth, 4) or depth >= spec.max_subdivisions:
-            # exhausted panels are accepted too; their error estimates stay
-            # in the global budget checked below
-            total = total + fine
-            total_err += err
-        else:
-            stack.append((a, mid, left, depth + 1))
-            stack.append((mid, b, right, depth + 1))
+        err = _peak(fine - coarse)
+        whole = float(np.max(np.abs(total + fine.sum(axis=0))))
+        tol = np.maximum(spec.abs_tol,
+                         spec.rel_tol * np.maximum(_peak(fine), whole))
+        # exhausted panels are accepted too; their error estimates stay in
+        # the global budget checked below
+        done = ((err <= tol * 0.5 ** min(depth, 4))
+                | (depth >= spec.max_subdivisions))
+        total = total + fine[done].sum(axis=0)
+        total_err += float(err[done].sum())
+        if done.all():
+            break
+        keep = ~done
+        a, b = (np.concatenate([a[keep], mid[keep]]),
+                np.concatenate([mid[keep], b[keep]]))
+        coarse = np.concatenate([left[keep], right[keep]])
     global_tol = max(spec.abs_tol, spec.rel_tol * float(np.max(np.abs(total))))
     if total_err > 4 * global_tol:
         raise NumericalError(
@@ -109,9 +152,15 @@ def integrate_continuous(fn, lo, hi, spec=DEFAULT_QUAD, breakpoints=()):
 def sum_discrete(fn, k_lo, k_hi, spec=DEFAULT_QUAD, block=64, max_blocks=512):
     """Sum a vectorized integrand over integers k_lo..k_hi, then keep
     extending upward in blocks until a whole block contributes less than
-    tolerance. Returns (value, error_estimate)."""
+    tolerance. Returns (value, error_estimate). Raises NumericalError,
+    without calling fn, when k_lo..k_hi holds more than MAX_SUM_TERMS
+    integers or reaches 2**53, beyond which float64 skips integers."""
     k_lo = int(k_lo)
     k_hi = max(int(k_hi), k_lo)
+    if k_hi - k_lo >= MAX_SUM_TERMS or k_hi >= 2 ** 53:
+        raise NumericalError(
+            f"discrete window {k_lo}..{k_hi} is wider than {MAX_SUM_TERMS} "
+            f"terms or not exactly representable")
     ks = np.arange(k_lo, k_hi + 1, dtype=float)
     total = np.sum(np.asarray(fn(ks), dtype=float), axis=0)
     last = np.inf

@@ -263,9 +263,19 @@ _SIM = ["simulate", "--family", "normal", "--n", "50", "--reps", "1"]
                            '"theta": [0, 1], "args": {"sigma": 2}}]}'],
     ["fit", "--family", "normal", "--data", NORMAL20, "--starts", "0"],
     ["fit", "--family", "normal", "--data", NORMAL20, "--quad-nodes", "8"],
+    ["sweep", "--family", "normal", "--data", NORMAL20,
+     "--alpha-grid", "0.5,0.25"],
+    # --config takes the file's JSON text here; the test writes the file
+    ["fit", "--config", '{"family": ["normal"]}', "--data", NORMAL20],
+    _SIM + ["--config", '{"generator": {"components": []}}',
+            "--family", "normal"],
 ])
 def test_malformed_input_exit_2(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    if "--config" in argv:
+        i = argv.index("--config") + 1
+        (tmp_path / "cfg.json").write_text(argv[i])
+        argv = argv[:i] + ["cfg.json"] + argv[i + 1:]
     assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from mindpd.errors import DomainError, IngestionError
 from mindpd.families import (INTEGRAL_KINDS, LOG_FLOOR, PLAIN_POWER,
@@ -173,6 +174,25 @@ def test_fused_terms_match_single_kinds(alpha, gpd, poisson):
             assert np.shape(value) == single.shape
             rel = np.max(np.abs(value - single)) / np.max(np.abs(single))
             assert rel < 1e-12, (fam.name, kind)
+
+
+def test_poisson_window_is_two_sided(poisson):
+    lo, hi = poisson.window(np.array([1e8]), QuadratureSpec().tail_eps)
+    assert 0 < lo < 1e8 < hi and hi - lo < 1e6
+
+
+@pytest.mark.parametrize("rate", [3.0, 200.0, 1e4])
+def test_poisson_terms_match_direct_two_sided_sum(rate, poisson):
+    alpha = 0.5
+    spread = 60 * math.sqrt(rate) + 60
+    k = np.arange(max(0.0, math.floor(rate - spread)), rate + spread + 1)
+    w = np.exp((1 + alpha) * stats.poisson.logpmf(k, rate))
+    s = k / rate - 1
+    direct = (np.sum(w), np.sum(s * w), np.sum(s * s * w),
+              np.sum(k / rate ** 2 * w))
+    terms = integral_terms(poisson, np.array([rate]), alpha, INTEGRAL_KINDS)
+    for value, ref in zip(terms, direct):
+        assert abs(float(np.ravel(value)[0]) - ref) <= 1e-12 * abs(ref)
 
 
 def test_plain_power_values(normal):
