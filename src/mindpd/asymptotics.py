@@ -145,33 +145,53 @@ def compute_J(fam, theta, g, cfg):
 
 
 def _check_psd(mat, label, tol=1e-8):
+    """Warn when a matrix, or any of a stack of them, is indefinite beyond
+    tolerance."""
     w = np.linalg.eigvalsh(mat)
-    scale = max(float(np.max(np.abs(w))), 1.0)
-    if w.min() < -tol * scale:
+    scale = np.maximum(np.max(np.abs(w), axis=-1), 1.0)
+    low = w[..., 0]
+    if np.any(low < -tol * scale):
         warnings.warn(
             f"{label} is indefinite beyond tolerance "
-            f"(smallest eigenvalue {w.min():.3e})", RuntimeWarning)
+            f"(smallest eigenvalue {np.min(low):.3e})", RuntimeWarning)
+
+
+def _sandwich_sigma(K, J):
+    """J^-1 K J^-1 for matrices or stacks of them, by two linear solves."""
+    X = np.linalg.solve(J, K)
+    sigma = np.swapaxes(np.linalg.solve(J, np.swapaxes(X, -1, -2)), -1, -2)
+    return 0.5 * (sigma + np.swapaxes(sigma, -1, -2))
 
 
 def _assemble(K, J, U, provenance, cond_cap):
-    cond = float(np.linalg.cond(J))
-    if not np.isfinite(cond) or cond > cond_cap:
-        raise EstimationError(
-            f"J is singular or ill-conditioned (cond={cond:.3e})",
-            detail={"cond_J": cond})
-    X = np.linalg.solve(J, K)
-    sigma = np.linalg.solve(J, X.T).T
-    sigma = 0.5 * (sigma + sigma.T)
-    _check_psd(sigma, "sigma")
-    return SandwichCov(K=K, J=J, U=U, sigma=sigma,
-                       provenance=provenance, cond_J=cond)
+    """One sandwich per matrix of the stacks K, J (R, p, p) and U (R, p):
+    a SandwichCov, or the EstimationError saying why there is none (J
+    singular or ill-conditioned)."""
+    cond = np.linalg.cond(J)
+    ok = np.isfinite(cond) & (cond <= cond_cap)
+    sigma = np.full(K.shape, np.nan)
+    sigma[ok] = _sandwich_sigma(K[ok], J[ok])
+    _check_psd(sigma[ok], "sigma")
+    return [SandwichCov(K=K[r], J=J[r], U=U[r], sigma=sigma[r],
+                        provenance=provenance, cond_J=float(cond[r]))
+            if ok[r] else EstimationError(
+                f"J is singular or ill-conditioned (cond={cond[r]:.3e})",
+                detail={"cond_J": float(cond[r])})
+            for r in range(len(K))]
+
+
+def _only(stack):
+    """The sandwich of a stack of one, raising where there is none."""
+    if isinstance(stack[0], EstimationError):
+        raise stack[0]
+    return stack[0]
 
 
 def sandwich(fam, theta, g, cfg, cond_cap=1e12):
     """Model-based sandwich covariance J^-1 K J^-1 at theta under g."""
     K, U = compute_K(fam, theta, g, cfg)
     J = compute_J(fam, theta, g, cfg)
-    return _assemble(K, J, U, MODEL_BASED, cond_cap)
+    return _only(_assemble(K[None], J[None], U[None], MODEL_BASED, cond_cap))
 
 
 def empirical_sandwich(fam, theta_hat, sample, cfg, cond_cap=1e12):
@@ -183,13 +203,30 @@ def empirical_sandwich(fam, theta_hat, sample, cfg, cond_cap=1e12):
         raise EstimationError(
             f"need at least p+1={fam.p + 1} observations for the empirical "
             f"sandwich, got {data.shape[0]}")
-    _, _, H, s, fa = criterion_kernel(fam, theta_hat, cfg, (2,))(data)
-    U = np.mean(s * fa[:, None], axis=0)
-    K = (np.mean(np.einsum("ni,nj->nij", s, s) * (fa ** 2)[:, None, None],
-                 axis=0) - np.outer(U, U))
-    K = 0.5 * (K + K.T)
-    J = -H / (1 + cfg.alpha)
+    return _only(empirical_sandwiches(
+        fam, np.asarray(theta_hat, dtype=float)[None], data[None], cfg,
+        cond_cap))
+
+
+def empirical_sandwiches(fam, theta_hat, data, cfg, cond_cap=1e12):
+    """The empirical sandwich of each fit in a batch: theta_hat (R, p)
+    fitted to the rows of the validated samples data (R, n), with n > p.
+    Each entry is a SandwichCov, or the EstimationError empirical_sandwich
+    raises for that row."""
+    K, J, U = _empirical_parts(fam, theta_hat, data, cfg)
     return _assemble(K, J, U, EMPIRICAL, cond_cap)
+
+
+def _empirical_parts(fam, theta_hat, data, cfg):
+    """K, J and U of the empirical sandwich; batches broadcast."""
+    _, _, H, s, fa = criterion_kernel(fam, theta_hat, cfg, (2,))(data)
+    U = np.mean(s * fa[..., None], axis=-2)
+    K = (np.mean(s[..., :, None] * s[..., None, :]
+                 * (fa ** 2)[..., None, None], axis=-3)
+         - U[..., :, None] * U[..., None, :])
+    K = 0.5 * (K + np.swapaxes(K, -1, -2))
+    J = -H / (1 + cfg.alpha)
+    return K, J, U
 
 
 # ----------------------------------------------------------------------
@@ -225,23 +262,24 @@ def dpd_projection(fam, g, cfg, init=None, grid_span=1.0, grid_points=7,
     vals = np.array([m_of_z(z) for z in cand])
     z_best = cand[int(np.argmax(vals))]
 
-    def value_and_grad(z):
-        theta = from_working(fam, z)
+    # the batch objective of one point that maximize takes
+    def evaluate(rows, zs):
+        theta = from_working(fam, zs[0])
         if not fam.feasible(theta):
-            return -np.inf, np.zeros(fam.p)
+            return np.array([-np.inf]), np.zeros((1, fam.p))
         v = population_objective(fam, theta, g, cfg)
         grad = population_gradient(fam, theta, g, cfg)
-        return v, grad * working_jacobian(fam, theta)
+        return np.array([v]), (grad * working_jacobian(fam, theta))[None]
 
-    def hess(z):
-        theta = from_working(fam, z)
+    def hessian(rows, zs):
+        theta = from_working(fam, zs[0])
         H_nat = -(1 + cfg.alpha) * compute_J(fam, theta, g, cfg)
         jac = working_jacobian(fam, theta)
         grad = population_gradient(fam, theta, g, cfg)
         return (jac[:, None] * H_nat * jac[None, :]
-                + np.diag(grad * working_curvature(fam, theta)))
+                + np.diag(grad * working_curvature(fam, theta)))[None]
 
-    res = maximize(value_and_grad, z_best, hessian=hess, grad_tol=grad_tol)
+    res = maximize(evaluate, z_best, hessian=hessian, grad_tol=grad_tol)
     return from_working(fam, res.z)
 
 
@@ -346,15 +384,21 @@ def _expanding_sup(fam, theta, alpha, dcfg):
 
     lo, hi = fam.window(theta, 1e-6)
     if fam.support.is_discrete:
+        # the window exactly, then each doubling's extension on both sides
+        # on at most grid_points integers, so huge rates stay cheap
+        cur_lo = int(np.floor(lo))
         cur_hi = max(int(np.ceil(hi)), 8)
-        running = sup_on(np.arange(0, cur_hi + 1, dtype=float))
+        running = sup_on(np.arange(cur_lo, cur_hi + 1, dtype=float))
         history = [running]
         for _ in range(dcfg.max_doublings):
-            new_hi = 2 * cur_hi
-            ext = np.arange(cur_hi + 1, new_hi + 1, dtype=float)
-            running = np.maximum(running, sup_on(ext))
+            new_lo, new_hi = max(cur_lo - cur_hi, 0), 2 * cur_hi
+            pieces = [_integers(cur_hi + 1, new_hi, dcfg.grid_points)]
+            if new_lo < cur_lo:
+                pieces.append(_integers(new_lo, cur_lo - 1, dcfg.grid_points))
+            ext_sup = np.max([sup_on(p) for p in pieces], axis=0)
+            running = np.maximum(running, ext_sup)
             history.append(running)
-            cur_hi = new_hi
+            cur_lo, cur_hi = new_lo, new_hi
     else:
         cur_lo = max(lo, fam.support.lo)
         cur_hi = min(hi, fam.support.hi)
@@ -386,6 +430,14 @@ def _expanding_sup(fam, theta, alpha, dcfg):
         settled = bool(rel[-1] < dcfg.sup_rel_change)
         bounded.append(settled and not growing)
     return sups, bounded
+
+
+def _integers(lo, hi, count):
+    """The integers lo..hi, or count of them spread evenly, both ends
+    included, where there are more."""
+    if hi - lo + 1 <= count:
+        return np.arange(lo, hi + 1, dtype=float)
+    return np.round(np.linspace(lo, hi, count))
 
 
 def _ball_directions(p, count):

@@ -117,13 +117,30 @@ def criterion_kernel(fam, theta, cfg, orders):
     log f, S, i and f^alpha once and gives the tuple (m, dm, hess, s, fa):
     per-point criterion and gradient, the symmetrised mean Hessian, the
     score and f^alpha, with None for what was not requested.
+
+    theta may be one point (p,), evaluated at points x (n,) or a scalar,
+    or a batch (R, p), evaluated at points x (R, n), row r at theta[r];
+    every result then gains the leading axis R. One point is the batch of
+    one, so a row's values do not depend on the rows beside it.
     """
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim == 1:
+        batch = criterion_kernel(fam, theta[None], cfg, orders)
+
+        def evaluate_point(x):
+            x = np.asarray(x, dtype=float)
+            m, dm, hess, s, fa = batch(x.reshape(1, -1))
+            at = (0, 0) if x.ndim == 0 else 0
+            return tuple(None if v is None else v[i] for v, i in (
+                (m, at), (dm, at), (hess, 0), (s, at), (fa, at)))
+        return evaluate_point
+
     wants_score = orders[-1] >= 1
     if cfg.alpha == 0.0:
         def evaluate(x):
             s = fam.score(x, theta) if wants_score else None
             m = fam.logpdf(x, theta) if 0 in orders else None
-            hess = (-np.mean(fam.info(x, theta), axis=0) if 2 in orders
+            hess = (-np.mean(fam.info(x, theta), axis=-3) if 2 in orders
                     else None)
             return (m, s if 1 in orders else None, _symmetrised(hess), s,
                     np.ones(np.shape(x)))
@@ -134,6 +151,9 @@ def criterion_kernel(fam, theta, cfg, orders):
     terms = iter(integral_terms(fam, theta, alpha, kinds, cfg.quad))
     plain, score, outer, info = (next(terms) if kind in kinds else None
                                  for kind in INTEGRAL_KINDS)
+    # model terms lined up with the per-point axis
+    plain = None if plain is None else plain[:, None]
+    score = None if score is None else score[:, None, :]
 
     def evaluate(x):
         s = fam.score(x, theta) if wants_score else None
@@ -144,16 +164,16 @@ def criterion_kernel(fam, theta, cfg, orders):
         hess = None
         if 2 in orders:
             point = (-fam.info(x, theta)
-                     + alpha * np.einsum("ni,nj->nij", s, s)) \
-                * fa[:, None, None]
+                     + alpha * (s[..., :, None] * s[..., None, :])) \
+                * fa[..., None, None]
             bracket = (1 + alpha) * outer - info
-            hess = (1 + alpha) * (np.mean(point, axis=0) - bracket)
+            hess = (1 + alpha) * (np.mean(point, axis=-3) - bracket)
         return m, dm, _symmetrised(hess), s, fa
     return evaluate
 
 
 def _symmetrised(h):
-    return None if h is None else 0.5 * (h + h.T)
+    return None if h is None else 0.5 * (h + np.swapaxes(h, -1, -2))
 
 
 def criterion(fam, x, theta, cfg):

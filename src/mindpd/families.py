@@ -8,6 +8,12 @@ plain float arrays of length ``p`` in natural coordinates; ``to_working`` /
 ``from_working`` map to the unconstrained optimization coordinates (log of
 scale-like parameters) with exact Jacobians.
 
+The evaluators, the closed-form integrals, the feasibility checks, the
+initial guesses and the coordinate maps also take a batch of parameter
+points of shape (R, p); points then have shape (R, n), one row of points
+per parameter point, and results gain the leading axis R. A single point
+(p,) is the same code with the leading axis absent.
+
 Built-ins: ``normal`` (mu, sigma), ``normal_loc`` (mu with known sigma),
 ``exponential`` (rate), ``poisson`` (rate, integer support), ``gpd``
 (shape > 0, scale; heavy-tail generalized Pareto with known location 0).
@@ -85,27 +91,39 @@ class FamilyModel(ABC):
     box: tuple
     closed_forms: frozenset = frozenset()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "box" in cls.__dict__:
+            cls._box_edges = np.array(cls.box, dtype=float).T
+
     # -- feasibility ---------------------------------------------------
 
     def feasible(self, theta):
+        """Whether theta lies inside the open box; one flag per row for a
+        batch (R, p)."""
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.p,) or not np.all(np.isfinite(theta)):
+        if theta.ndim not in (1, 2) or theta.shape[-1] != self.p:
             return False
-        return all(lo < t < hi for t, (lo, hi) in zip(theta, self.box))
+        ok = self._in_box(theta).all(axis=-1)
+        return ok if theta.ndim == 2 else bool(ok)
 
     def require_feasible(self, theta):
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.p,):
+        if theta.ndim not in (1, 2) or theta.shape[-1] != self.p:
             raise DomainError(
                 f"{self.name}: parameter point must have length {self.p}")
-        if not self.feasible(theta):
-            on_edge = any(
-                t == lo or t == hi for t, (lo, hi) in zip(theta, self.box))
-            if on_edge:
+        if not self._in_box(theta).all():
+            lo, hi = self._box_edges
+            if np.any((theta == lo) | (theta == hi)):
                 raise DomainError(
                     f"{self.name}: {theta} lies on the feasible boundary")
             raise DomainError(f"{self.name}: infeasible parameters {theta}")
         return theta
+
+    def _in_box(self, theta):
+        lo, hi = self._box_edges
+        # comparisons with nan or an infinite edge are False
+        return (theta > lo) & (theta < hi)
 
     # -- evaluation ----------------------------------------------------
 
@@ -115,11 +133,11 @@ class FamilyModel(ABC):
 
     @abstractmethod
     def _score(self, x, theta):
-        """Score matrix (n, p) on in-support points."""
+        """Score matrices (..., n, p) on in-support points."""
 
     @abstractmethod
     def _info(self, x, theta):
-        """Information matrices (n, p, p) on in-support points."""
+        """Information matrices (..., n, p, p) on in-support points."""
 
     def logpdf(self, x, theta):
         """log f(x; theta), floored at LOG_FLOOR inside the support and
@@ -145,13 +163,15 @@ class FamilyModel(ABC):
         theta = self.require_feasible(theta)
         x, scalar = _as_array(x)
         inside = self.support.contains(x)
-        if self.support.is_discrete and not np.all(inside):
+        if np.all(inside):
+            return np.maximum(self._logpdf(x, theta), LOG_FLOOR), scalar
+        if self.support.is_discrete:
             raise DomainError(
                 f"{self.name}: evaluation points outside the integer support")
-        out = np.full(x.shape, -np.inf)
-        if np.any(inside):
-            out[inside] = np.maximum(self._logpdf(x[inside], theta), LOG_FLOOR)
-        return out, scalar
+        # points outside a continuous support are evaluated at its lower
+        # end instead and then masked, which keeps a batch's shape
+        lf = self._logpdf(np.where(inside, x, self.support.lo), theta)
+        return np.where(inside, np.maximum(lf, LOG_FLOOR), -np.inf), scalar
 
     def _in_support(self, method, x, theta, what):
         theta = self.require_feasible(theta)
@@ -184,7 +204,8 @@ class FamilyModel(ABC):
 
     @abstractmethod
     def initial_guess(self, data):
-        """Moment-based feasible starting point for optimization."""
+        """Moment-based feasible starting point for optimization; one
+        point per row for samples (R, n)."""
 
     def validate_data(self, data):
         """Ingestion check: every observation inside the support."""
@@ -214,6 +235,28 @@ def _as_array(x):
     return arr, False
 
 
+def _coords(theta):
+    """Coordinates of theta: scalars for a point (p,), arrays (R,) for a
+    batch (R, p)."""
+    return tuple(np.asarray(theta).T)
+
+
+def _point_coords(theta):
+    """Coordinates of theta that broadcast against points, (n,) for a
+    point (p,) and (R, n) for a batch (R, p): scalars, or arrays (R, 1)."""
+    theta = np.asarray(theta)
+    return _coords(theta) if theta.ndim == 1 else tuple(theta.T[:, :, None])
+
+
+def _diagonal(*entries):
+    """Diagonal matrices (..., k, k) from k broadcastable entries."""
+    d = np.stack(np.broadcast_arrays(*entries), axis=-1)
+    out = np.zeros(d.shape + d.shape[-1:])
+    idx = np.arange(d.shape[-1])
+    out[..., idx, idx] = d
+    return out
+
+
 # -- working (unconstrained) coordinates --------------------------------
 
 def to_working(fam, theta):
@@ -221,7 +264,7 @@ def to_working(fam, theta):
     z = theta.copy()
     for j, t in enumerate(fam.transforms):
         if t == "log":
-            z[j] = np.log(theta[j])
+            z[..., j] = np.log(theta[..., j])
     return z
 
 
@@ -231,7 +274,7 @@ def from_working(fam, z):
     with np.errstate(over="ignore"):
         for j, t in enumerate(fam.transforms):
             if t == "log":
-                theta[j] = np.exp(z[j])
+                theta[..., j] = np.exp(z[..., j])
     return theta
 
 
@@ -268,24 +311,23 @@ class Normal(FamilyModel):
     closed_forms = frozenset(INTEGRAL_KINDS)
 
     def _logpdf(self, x, theta):
-        mu, sigma = theta
+        mu, sigma = _point_coords(theta)
         return (-np.log(sigma) - 0.5 * math.log(2 * math.pi)
                 - (x - mu) ** 2 / (2 * sigma ** 2))
 
     def _score(self, x, theta):
-        mu, sigma = theta
+        mu, sigma = _point_coords(theta)
         z = x - mu
         return np.stack([z / sigma ** 2, z ** 2 / sigma ** 3 - 1 / sigma],
-                        axis=1)
+                        axis=-1)
 
     def _info(self, x, theta):
-        mu, sigma = theta
+        mu, sigma = _point_coords(theta)
         z = x - mu
-        n = x.shape[0]
-        out = np.empty((n, 2, 2))
-        out[:, 0, 0] = 1 / sigma ** 2
-        out[:, 0, 1] = out[:, 1, 0] = 2 * z / sigma ** 3
-        out[:, 1, 1] = 3 * z ** 2 / sigma ** 4 - 1 / sigma ** 2
+        out = np.empty(x.shape + (2, 2))
+        out[..., 0, 0] = 1 / sigma ** 2
+        out[..., 0, 1] = out[..., 1, 0] = 2 * z / sigma ** 3
+        out[..., 1, 1] = 3 * z ** 2 / sigma ** 4 - 1 / sigma ** 2
         return out
 
     def window(self, theta, tail_eps):
@@ -294,21 +336,20 @@ class Normal(FamilyModel):
         return mu - c * sigma, mu + c * sigma
 
     def closed_integral(self, kind, theta, alpha):
-        mu, sigma = theta
+        mu, sigma = _coords(theta)
         ca = _normal_plain_power(sigma, alpha)
         one = 1 + alpha
         if kind == PLAIN_POWER:
             return ca
         if kind == SCORE_POWER:
-            return np.array([0.0, -ca * alpha / (one * sigma)])
+            return np.stack([np.zeros_like(ca), -ca * alpha / (one * sigma)],
+                            axis=-1)
         if kind == SCORE_OUTER_POWER:
-            return np.array([
-                [ca / (one * sigma ** 2), 0.0],
-                [0.0, ca * (alpha ** 2 + 2) / (one ** 2 * sigma ** 2)]])
+            return _diagonal(ca / (one * sigma ** 2),
+                             ca * (alpha ** 2 + 2) / (one ** 2 * sigma ** 2))
         if kind == INFO_POWER:
-            return np.array([
-                [ca / sigma ** 2, 0.0],
-                [0.0, ca * (2 - alpha) / (one * sigma ** 2)]])
+            return _diagonal(ca / sigma ** 2,
+                             ca * (2 - alpha) / (one * sigma ** 2))
         raise ValueError(f"unknown integral kind {kind!r}")
 
     def sample(self, theta, n, rng):
@@ -316,8 +357,8 @@ class Normal(FamilyModel):
         return mu + sigma * rng.standard_normal(n)
 
     def initial_guess(self, data):
-        return np.array([float(np.mean(data)),
-                         max(float(np.std(data)), 1e-6)])
+        return np.stack([np.mean(data, axis=-1),
+                         np.maximum(np.std(data, axis=-1), 1e-6)], axis=-1)
 
 
 def _normal_plain_power(sigma, alpha):
@@ -341,14 +382,16 @@ class NormalLocation(FamilyModel):
         self.sigma = float(sigma)
 
     def _logpdf(self, x, theta):
+        mu, = _point_coords(theta)
         return (-math.log(self.sigma) - 0.5 * math.log(2 * math.pi)
-                - (x - theta[0]) ** 2 / (2 * self.sigma ** 2))
+                - (x - mu) ** 2 / (2 * self.sigma ** 2))
 
     def _score(self, x, theta):
-        return ((x - theta[0]) / self.sigma ** 2)[:, None]
+        mu, = _point_coords(theta)
+        return ((x - mu) / self.sigma ** 2)[..., None]
 
     def _info(self, x, theta):
-        return np.full((x.shape[0], 1, 1), 1 / self.sigma ** 2)
+        return np.full(x.shape + (1, 1), 1 / self.sigma ** 2)
 
     def window(self, theta, tail_eps):
         c = max(8.0, -float(special.ndtri(min(tail_eps, 0.5))))
@@ -356,21 +399,23 @@ class NormalLocation(FamilyModel):
 
     def closed_integral(self, kind, theta, alpha):
         ca = _normal_plain_power(self.sigma, alpha)
+        lead = np.shape(theta)[:-1]
         if kind == PLAIN_POWER:
-            return ca
+            return np.full(lead, ca)[()]
         if kind == SCORE_POWER:
-            return np.zeros(1)
+            return np.zeros(lead + (1,))
         if kind == SCORE_OUTER_POWER:
-            return np.array([[ca / ((1 + alpha) * self.sigma ** 2)]])
+            return np.full(lead + (1, 1),
+                           ca / ((1 + alpha) * self.sigma ** 2))
         if kind == INFO_POWER:
-            return np.array([[ca / self.sigma ** 2]])
+            return np.full(lead + (1, 1), ca / self.sigma ** 2)
         raise ValueError(f"unknown integral kind {kind!r}")
 
     def sample(self, theta, n, rng):
         return theta[0] + self.sigma * rng.standard_normal(n)
 
     def initial_guess(self, data):
-        return np.array([float(np.mean(data))])
+        return np.mean(data, axis=-1)[..., None]
 
 
 class Exponential(FamilyModel):
@@ -386,36 +431,40 @@ class Exponential(FamilyModel):
     closed_forms = frozenset(INTEGRAL_KINDS)
 
     def _logpdf(self, x, theta):
-        lam = theta[0]
-        return math.log(lam) - lam * x
+        lam, = _point_coords(theta)
+        return np.log(lam) - lam * x
 
     def _score(self, x, theta):
-        return (1 / theta[0] - x)[:, None]
+        lam, = _point_coords(theta)
+        return (1 / lam - x)[..., None]
 
     def _info(self, x, theta):
-        return np.full((x.shape[0], 1, 1), 1 / theta[0] ** 2)
+        lam, = _point_coords(theta)
+        return np.broadcast_to((1 / lam ** 2)[..., None, None],
+                               x.shape + (1, 1)).copy()
 
     def window(self, theta, tail_eps):
         return 0.0, -math.log(tail_eps) / theta[0]
 
     def closed_integral(self, kind, theta, alpha):
-        lam = theta[0]
+        lam, = _coords(theta)
         one = 1 + alpha
         if kind == PLAIN_POWER:
             return lam ** alpha / one
         if kind == SCORE_POWER:
-            return np.array([lam ** (alpha - 1) * alpha / one ** 2])
+            return (lam ** (alpha - 1) * alpha / one ** 2)[..., None]
         if kind == SCORE_OUTER_POWER:
-            return np.array([[lam ** (alpha - 2) * (alpha ** 2 + 1) / one ** 3]])
+            return (lam ** (alpha - 2) * (alpha ** 2 + 1)
+                    / one ** 3)[..., None, None]
         if kind == INFO_POWER:
-            return np.array([[lam ** (alpha - 2) / one]])
+            return (lam ** (alpha - 2) / one)[..., None, None]
         raise ValueError(f"unknown integral kind {kind!r}")
 
     def sample(self, theta, n, rng):
         return rng.standard_exponential(n) / theta[0]
 
     def initial_guess(self, data):
-        return np.array([1.0 / max(float(np.mean(data)), 1e-12)])
+        return (1.0 / np.maximum(np.mean(data, axis=-1), 1e-12))[..., None]
 
 
 class Poisson(FamilyModel):
@@ -430,14 +479,16 @@ class Poisson(FamilyModel):
     box = ((0.0, math.inf),)
 
     def _logpdf(self, x, theta):
-        lam = theta[0]
-        return -lam + x * math.log(lam) - special.gammaln(x + 1)
+        lam, = _point_coords(theta)
+        return -lam + x * np.log(lam) - special.gammaln(x + 1)
 
     def _score(self, x, theta):
-        return (x / theta[0] - 1)[:, None]
+        lam, = _point_coords(theta)
+        return (x / lam - 1)[..., None]
 
     def _info(self, x, theta):
-        return (x / theta[0] ** 2)[:, None, None]
+        lam, = _point_coords(theta)
+        return (x / lam ** 2)[..., None, None]
 
     def window(self, theta, tail_eps):
         lam = theta[0]
@@ -452,7 +503,7 @@ class Poisson(FamilyModel):
         return rng.poisson(theta[0], n).astype(float)
 
     def initial_guess(self, data):
-        return np.array([max(float(np.mean(data)), 1e-6)])
+        return np.maximum(np.mean(data, axis=-1), 1e-6)[..., None]
 
 
 class GeneralizedPareto(FamilyModel):
@@ -475,8 +526,8 @@ class GeneralizedPareto(FamilyModel):
     closed_forms = frozenset({PLAIN_POWER})
 
     def _logpdf(self, x, theta):
-        xi, beta = theta
-        return -math.log(beta) - (1 / xi + 1) * np.log1p(xi * x / beta)
+        xi, beta = _point_coords(theta)
+        return -np.log(beta) - (1 / xi + 1) * np.log1p(xi * x / beta)
 
     @staticmethod
     def _phi_psi(u):
@@ -497,27 +548,26 @@ class GeneralizedPareto(FamilyModel):
         return phi, psi, r
 
     def _score(self, x, theta):
-        xi, beta = theta
+        xi, beta = _point_coords(theta)
         u = xi * x / beta
         phi, _, r = self._phi_psi(u)
         # dlogf/dxi = phi(u)/xi^2 - x/(beta + xi x)
         s_xi = phi / xi ** 2 - r / xi
         s_beta = (-1 + (1 + xi) * r / xi) / beta
-        return np.stack([s_xi, s_beta], axis=1)
+        return np.stack([s_xi, s_beta], axis=-1)
 
     def _info(self, x, theta):
-        xi, beta = theta
+        xi, beta = _point_coords(theta)
         u = xi * x / beta
         d = beta + xi * x
         _, psi, r = self._phi_psi(u)
-        n = x.shape[0]
-        out = np.empty((n, 2, 2))
+        out = np.empty(x.shape + (2, 2))
         # -d2 logf / dxi2 = psi(u)/xi^3 - (x/d)^2
-        out[:, 0, 0] = psi / xi ** 3 - (x / d) ** 2
+        out[..., 0, 0] = psi / xi ** 3 - (x / d) ** 2
         # -d2 logf / dxi dbeta
-        out[:, 0, 1] = out[:, 1, 0] = -x * (beta - x) / (beta * d ** 2)
+        out[..., 0, 1] = out[..., 1, 0] = -x * (beta - x) / (beta * d ** 2)
         # -d2 logf / dbeta2
-        out[:, 1, 1] = (1 + xi) * x * (2 * beta + xi * x) / (beta * d) ** 2 \
+        out[..., 1, 1] = (1 + xi) * x * (2 * beta + xi * x) / (beta * d) ** 2 \
             - 1 / beta ** 2
         return out
 
@@ -542,7 +592,7 @@ class GeneralizedPareto(FamilyModel):
         return tuple(h for h in hints if h < hi)
 
     def closed_integral(self, kind, theta, alpha):
-        xi, beta = theta
+        xi, beta = _coords(theta)
         if kind == PLAIN_POWER:
             return beta ** (-alpha) / (1 + alpha * (1 + xi))
         raise NotImplementedError(f"gpd has no closed form for {kind}")
@@ -553,12 +603,11 @@ class GeneralizedPareto(FamilyModel):
         return beta * np.expm1(-xi * np.log1p(-u)) / xi
 
     def initial_guess(self, data):
-        m = float(np.mean(data))
-        v = max(float(np.var(data)), 1e-12)
-        xi = 0.5 * (1 - m * m / v)
-        xi = float(np.clip(xi, 0.05, 0.45))
-        beta = max(m * (1 - xi), 1e-8)
-        return np.array([xi, beta])
+        m = np.mean(data, axis=-1)
+        v = np.maximum(np.var(data, axis=-1), 1e-12)
+        xi = np.clip(0.5 * (1 - m * m / v), 0.05, 0.45)
+        beta = np.maximum(m * (1 - xi), 1e-8)
+        return np.stack([xi, beta], axis=-1)
 
 
 FAMILIES = {
@@ -668,7 +717,8 @@ def integral_terms(fam, theta, alpha, kinds, quad=DEFAULT_QUAD,
                    method="auto"):
     """Model integrals of the given kinds over the support at (theta, alpha),
     in the order given: plain_power -> scalar, score_power -> (p,),
-    score_outer_power / info_power -> (p, p).
+    score_outer_power / info_power -> (p, p); a batch theta (R, p) gives
+    each a leading axis R.
 
     Closed forms are used when the family flags them unless
     method="quadrature" forces the numeric path; method="closed" requires
@@ -685,6 +735,18 @@ def integral_terms(fam, theta, alpha, kinds, quad=DEFAULT_QUAD,
         raise ValueError(f"unknown integral method {method!r}")
     numeric = [kind for kind in kinds if method == "quadrature" or (
         method == "auto" and kind not in fam.closed_forms)]
+    if theta.ndim == 1:
+        return _terms_at(fam, theta, alpha, kinds, numeric, quad)
+    if not numeric:
+        return tuple(fam.closed_integral(kind, theta, alpha)
+                     for kind in kinds)
+    # a batch with numeric kinds: one pass per point
+    return tuple(np.stack(col) for col in zip(*(
+        _terms_at(fam, t, alpha, kinds, numeric, quad) for t in theta)))
+
+
+def _terms_at(fam, theta, alpha, kinds, numeric, quad):
+    """integral_terms at one feasible point."""
     want_score = SCORE_POWER in numeric or SCORE_OUTER_POWER in numeric
     p = fam.p
 

@@ -1,11 +1,17 @@
 import json
+import os
+import re
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from mindpd.asymptotics import (compute_J, compute_K,
-                                diagnose_regularity, dpd_projection,
-                                empirical_sandwich, population_gradient,
+from mindpd.asymptotics import (DiagnosticsConfig, _expanding_sup, compute_J,
+                                compute_K, diagnose_regularity,
+                                dpd_projection, empirical_sandwich,
+                                empirical_sandwiches, population_gradient,
                                 population_objective, sandwich)
 from mindpd.divergence import DpdConfig, objective_hessian
 from mindpd.errors import EstimationError
@@ -190,6 +196,28 @@ def test_empirical_duplication_invariant(normal):
     assert np.allclose(a.J, b.J, rtol=1e-12)
 
 
+def test_empirical_sandwiches_mark_unavailable_rows(normal):
+    # one availability rule for a stack and for one fit: a row whose J is
+    # over the condition cap gets the error empirical_sandwich raises, and
+    # the other rows the sandwich they get alone
+    cfg = DpdConfig(alpha=0.5)
+    rng = np.random.default_rng(4)
+    thetas = np.array([[0.0, 1.0], [0.3, 2.0], [-0.2, 0.7]])
+    data = np.stack([normal.sample(t, 40, rng) for t in thetas])
+    alone = [empirical_sandwich(normal, t, x, cfg)
+             for t, x in zip(thetas, data)]
+    cap = sorted(sw.cond_J for sw in alone)[1]
+    stack = empirical_sandwiches(normal, thetas, data, cfg, cond_cap=cap)
+    for sw, one, t, x in zip(stack, alone, thetas, data):
+        if one.cond_J > cap:
+            assert isinstance(sw, EstimationError)
+            with pytest.raises(EstimationError, match=re.escape(str(sw))):
+                empirical_sandwich(normal, t, x, cfg, cond_cap=cap)
+        else:
+            assert np.allclose(sw.sigma, one.sigma, rtol=1e-13, atol=0.0)
+    assert sum(isinstance(sw, EstimationError) for sw in stack) == 1
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
 def test_empirical_j_is_scaled_objective_hessian(alpha):
     cfg = DpdConfig(alpha=alpha)
@@ -257,3 +285,54 @@ def test_hessian_identity_all_families(alpha):
         rep = diagnose_regularity(fam, theta, model_density(fam, theta), cfg)
         assert rep.hessian_identity_error < 1e-3, (fam.name, alpha)
         assert rep.verdicts["hessian_identity"] == "pass"
+
+
+# ------------------------------------------------------------- score bound
+
+def _full_integer_scan(fam, theta, alpha, dcfg):
+    # reference: every integer from 0 up to 2^max_doublings times the
+    # window's upper end, as the scan once materialised it
+    def s2(x):
+        return np.max(fam.score(x, theta) ** 2 * np.exp(
+            2 * alpha * fam.logpdf(x, theta))[:, None], axis=0)
+
+    hi = max(int(np.ceil(fam.window(theta, 1e-6)[1])), 8)
+    history = [s2(np.arange(0, hi + 1, dtype=float))]
+    for _ in range(dcfg.max_doublings):
+        history.append(np.maximum(history[-1], s2(
+            np.arange(hi + 1, 2 * hi + 1, dtype=float))))
+        hi *= 2
+    history = np.asarray(history)[:, 0]
+    rel = np.diff(history) / np.maximum(np.abs(history[1:]), 1e-300)
+    bounded = bool(rel[-1] < dcfg.sup_rel_change
+                   and not np.all(rel[-3:] > dcfg.sup_rel_change))
+    return history[-1], bounded
+
+
+@pytest.mark.parametrize("rate", [0.8, 3.0, 11.0, 1e4])
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_discrete_score_bound_matches_full_scan(poisson, rate, alpha):
+    # the bounded scan (exact window, sampled extensions) finds the sups
+    # and flags of the scan over every integer
+    dcfg = DiagnosticsConfig()
+    sups, bounded = _expanding_sup(poisson, np.array([rate]), alpha, dcfg)
+    ref_sup, ref_bounded = _full_integer_scan(poisson, np.array([rate]),
+                                              alpha, dcfg)
+    assert sups[0] == pytest.approx(ref_sup, rel=1e-12)
+    assert bounded == [ref_bounded]
+
+
+def test_diagnose_huge_poisson_rate_runs_in_bounded_memory():
+    # the scan once built every integer up to 2^8 times the window, some
+    # 2.5e9 floats at rate 1e7; under a 3 GB address-space limit the
+    # command now completes
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 10 ** 9, 3 * 10 ** 9))
+
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "mindpd", "diagnose", "--family", "poisson",
+         "--theta", "1e7", "--alpha", "0.5"],
+        env=env, preexec_fn=limit, capture_output=True, timeout=300)
+    assert done.returncode == 0, done.stderr.decode()[-2000:]

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mindpd.divergence import (DpdConfig, criterion, dpd_divergence,
-                               objective, objective_gradient,
+from mindpd.divergence import (DpdConfig, criterion, criterion_kernel,
+                               dpd_divergence, objective, objective_gradient,
                                objective_hessian,
                                objective_value_and_gradient)
 from mindpd.errors import DomainError, IngestionError
-from mindpd.families import (PLAIN_POWER, Mixture, Normal, integral_term,
-                             model_density)
+from mindpd.families import (INTEGRAL_KINDS, PLAIN_POWER, Mixture, Normal,
+                             integral_term, model_density)
 
 from conftest import OBJ10, family_grid, fd_gradient, random_feasible
 
@@ -258,3 +258,31 @@ def test_value_and_gradient_equal_separate_views(alpha):
             # order of floating-point additions
             assert value == pytest.approx(value1, rel=1e-14, abs=0.0)
             assert np.allclose(grad, grad1, rtol=1e-14, atol=0.0)
+
+
+# ------------------------------------------------------------- batches
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_batched_kernel_equals_per_row_calls(alpha):
+    # a batch (R, p) of points gives each row exactly what that row gives
+    # alone: bitwise where every model integral has a closed form, and for
+    # gpd and poisson, whose numeric integrals run once per row, to 1e-13
+    cfg = DpdConfig(alpha=alpha)
+    rng = np.random.default_rng(25)
+    for fam, _ in family_grid():
+        thetas = np.stack([random_feasible(fam, rng) for _ in range(11)])
+        x = np.stack([fam.sample(t, 23, rng) for t in thetas])
+        exact = fam.closed_forms == frozenset(INTEGRAL_KINDS)
+        for orders in [(0,), (1,), (2,), (0, 1), (1, 2), (0, 1, 2)]:
+            batch = criterion_kernel(fam, thetas, cfg, orders)(x)
+            for r in range(len(thetas)):
+                alone = criterion_kernel(fam, thetas[r], cfg, orders)(x[r])
+                for b, a in zip(batch, alone):
+                    assert (b is None) == (a is None)
+                    if a is None:
+                        continue
+                    if exact:
+                        assert np.array_equal(b[r], a), (fam.name, orders)
+                    else:
+                        assert np.allclose(b[r], a, rtol=1e-13, atol=0.0), \
+                            (fam.name, orders)

@@ -200,14 +200,34 @@ def test_start_trace_counts_every_evaluation(gpd, monkeypatch):
     # runs at alpha = 0 and belongs to no start
     import mindpd.estimation as est
     calls = []
-    original = est.objective_value_and_gradient
+    original = est.criterion_kernel
 
-    def counted(fam, data, theta, cfg):
-        if cfg.alpha == 0.5:
+    def counted(fam, theta, cfg, orders):
+        # one value-and-gradient evaluation is one (0, 1) kernel
+        if cfg.alpha == 0.5 and orders == (0, 1):
             calls.append(1)
-        return original(fam, data, theta, cfg)
+        return original(fam, theta, cfg, orders)
 
-    monkeypatch.setattr(est, "objective_value_and_gradient", counted)
+    monkeypatch.setattr(est, "criterion_kernel", counted)
     data = gpd.sample(np.array([0.3, 1.2]), 2000, np.random.default_rng(8))
     res = fit(gpd, data, DpdConfig(alpha=0.5), FitConfig(starts=2))
     assert sum(t["n_evals"] for t in res.start_trace) == len(calls)
+
+
+def test_ascent_direction_on_indefinite_hessian():
+    # where -H is indefinite or nearly singular, the Levenberg shift still
+    # gives a finite ascent direction; a non-finite H gives NaN, not a step
+    from mindpd.optimize import _ascent_direction
+    H = np.array([[[1.0, 0.3], [0.3, -2.0]],       # indefinite
+                  [[-1.0, 1.0], [1.0, -1.0]],      # -H singular
+                  [[-4.0, 0.0], [0.0, -1e-12]],    # nearly singular
+                  [[np.nan, 0.0], [0.0, -1.0]]])
+    grad = np.array([[0.5, -1.0], [1.0, 0.2], [0.3, 0.7], [1.0, 1.0]])
+    step = _ascent_direction(H, grad)
+    assert np.all(np.isfinite(step[:3]))
+    assert np.all(np.sum(step[:3] * grad[:3], axis=1) > 0)
+    assert np.all(np.linalg.norm(step[:3], axis=1) < 1e9)
+    assert np.all(np.isnan(step[3]))
+    # the shift leaves a safely definite system alone
+    assert np.allclose(_ascent_direction(H[2:3] - np.eye(2), grad[2:3]),
+                       np.linalg.solve(np.eye(2) - H[2], grad[2]))

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mindpd.asymptotics import sandwich
 from mindpd.divergence import DpdConfig
@@ -11,6 +13,7 @@ from mindpd.families import Mixture, NormalLocation, model_density
 from mindpd.montecarlo import (McConfig, chi2_cdf, draw, efficiency_curve,
                                ks_distance, replication_stream,
                                run_consistency_study, run_normality_study)
+from mindpd.quadrature import DEFAULT_QUAD
 
 from conftest import family_grid
 
@@ -279,3 +282,119 @@ def test_population_objective_reports_non_integrable(normal):
         nodes=16, abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=1))
     with _pytest.raises(IntegrabilityError):
         population_objective(normal, np.array([0.0, 1.0]), g, cfg)
+
+
+# ------------------------------------------------------------- batched cells
+
+def _cell_args(gen, fam, alpha, n, reps, starts, want_se=True):
+    return [(gen, fam, alpha, n, 44, 3, rep, FitConfig(starts=starts),
+             DEFAULT_QUAD, want_se) for rep in range(reps)]
+
+
+def test_batched_rows_independent_of_chunking(normal):
+    # a replication's row is the same bytes whichever replications share
+    # its chunk: chunks of 1, of 7, of all, and with a boundary moved
+    import mindpd.montecarlo as mc
+    gen = Mixture([(normal, np.array([0.0, 1.0]), 0.9),
+                   (normal, np.array([6.0, 1.0]), 0.1)])
+    args = _cell_args(gen, normal, 0.5, 60, 19, starts=2)
+    whole = mc._run_chunk(args)
+
+    def chunked(size, first=None):
+        cuts = [0] + ([first] if first else []) + list(
+            range(first or size, len(args), size))
+        cuts = sorted(set(cuts)) + [len(args)]
+        return [row for a, b in zip(cuts, cuts[1:])
+                for row in mc._run_chunk(args[a:b])]
+
+    assert len(whole) == 19 and all(r["converged"] for r in whole)
+    assert chunked(1) == whole
+    assert chunked(7) == whole
+    assert chunked(7, first=3) == whole
+
+
+def test_batched_row_without_converged_start_goes_through_run_rep(
+        exponential, monkeypatch):
+    # every replication of a batched chunk is one fit; a row the batched
+    # Newton leaves unconverged gets no solution, fit runs its own starts,
+    # and its row is exactly _run_rep's
+    import mindpd.montecarlo as mc
+    gen = model_density(exponential, np.array([1.3]))
+    args = _cell_args(gen, exponential, 0.5, 80, 6, starts=1)
+    real_batch, real_fit = mc.fit_batch, mc.fit
+    solved = []
+
+    def batch_missing_row_2(*a, **kw):
+        solutions = real_batch(*a, **kw)
+        solutions[2] = None
+        return solutions
+
+    def spy(*a, solution=None, **kw):
+        solved.append(solution is not None)
+        return real_fit(*a, solution=solution, **kw)
+
+    monkeypatch.setattr(mc, "fit_batch", batch_missing_row_2)
+    monkeypatch.setattr(mc, "fit", spy)
+    rows = mc._run_chunk(args)
+    assert solved == [True, True, False, True, True, True]
+    monkeypatch.undo()
+    assert rows[2] == mc._run_rep(args[2])
+    assert rows[:2] + rows[3:] == (mc._run_chunk(args[:2])
+                                   + mc._run_chunk(args[3:]))
+
+
+def test_batched_rows_match_single_fits(normal):
+    # the batched Newton and fit reach the same estimates and errors
+    import mindpd.montecarlo as mc
+    gen = model_density(normal, np.array([0.5, 1.5]))
+    for alpha in (0.0, 0.5, 1.0):
+        args = _cell_args(gen, normal, alpha, 50, 5, starts=2)
+        for row, a in zip(mc._run_chunk(args), args):
+            ref = mc._run_rep(a)
+            assert row["converged"] and ref["converged"]
+            assert np.allclose(row["theta"], ref["theta"], rtol=1e-10)
+            assert np.allclose(row["se"], ref["se"], rtol=1e-10)
+
+
+def test_closed_form_study_files_independent_of_workers(tmp_path):
+    # byte-identical report files with one worker and with two, where the
+    # two get one chunk of replications each; the summary differs only in
+    # the echoed worker count
+    from mindpd.cli import EXIT_OK, main
+    args = ["simulate", "--family", "exponential", "--generator",
+            "0.9*exponential:1.0+0.1*exponential:0.1",
+            "--study", "consistency", "--alpha", "0.5", "--n", "50,200",
+            "--reps", "30", "--starts", "2", "--seed", "12"]
+    out1, out2 = tmp_path / "w1", tmp_path / "w2"
+    assert main(args + ["--workers", "1", "--out", str(out1)]) == EXIT_OK
+    assert main(args + ["--workers", "2", "--out", str(out2)]) == EXIT_OK
+    assert ((out1 / "replications.csv").read_bytes()
+            == (out2 / "replications.csv").read_bytes())
+
+    def summary(out, workers):
+        return (out / "summary.json").read_bytes().replace(
+            b'"workers": %d' % workers, b'"workers": ?')
+    assert summary(out1, 1) == summary(out2, 2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(shift=st.floats(-50, 50), scale=st.floats(0.1, 10),
+       seed=st.integers(0, 2 ** 32 - 1), alpha=st.sampled_from([0.0, 0.5]))
+def test_batched_normal_fits_affine_equivariant(shift, scale, seed, alpha):
+    # the normal MDPDE is location-scale equivariant (Basu, Harris, Hjort &
+    # Jones 1998): shifting and scaling a batch's data shifts and scales
+    # every row's estimate
+    from mindpd.divergence import DpdConfig
+    from mindpd.estimation import fit_batch
+    from mindpd.families import Normal
+    fam = Normal()
+    data = np.random.default_rng(seed).standard_normal((6, 40))
+    cfg, fit_cfg, seeds = DpdConfig(alpha=alpha), FitConfig(starts=1), [0] * 6
+    solutions = fit_batch(fam, data, cfg, fit_cfg, seeds, False)
+    moved = fit_batch(fam, shift + scale * data, cfg, fit_cfg, seeds, False)
+    assert None not in solutions and None not in moved
+    theta = np.array([s.theta_hat for s in solutions])
+    moved = np.array([s.theta_hat for s in moved])
+    assert np.allclose(moved[:, 0], shift + scale * theta[:, 0], rtol=1e-9,
+                       atol=1e-9 * scale)
+    assert np.allclose(moved[:, 1], scale * theta[:, 1], rtol=1e-9, atol=0)
