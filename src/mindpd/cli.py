@@ -40,7 +40,7 @@ def read_data_csv(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestionError(f"cannot read data file {path}: {exc}")
     values = []
     for i, line in enumerate(lines, start=1):
@@ -132,7 +132,7 @@ def _load_config_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")

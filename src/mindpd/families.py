@@ -257,6 +257,12 @@ def _diagonal(*entries):
     return out
 
 
+def _symmetric2(m00, m01, m11):
+    """Symmetric matrices (..., 2, 2) from entries of one shape."""
+    return np.stack([np.stack([m00, m01], axis=-1),
+                     np.stack([m01, m11], axis=-1)], axis=-2)
+
+
 # -- working (unconstrained) coordinates --------------------------------
 
 def to_working(fam, theta):
@@ -511,8 +517,9 @@ class GeneralizedPareto(FamilyModel):
 
     Location is known (0); the shape is restricted to the strictly
     heavy-tailed regime so the support does not depend on the parameters.
-    Parameter order is (shape, scale), both optimized on the log scale;
-    only the plain power integral has a closed form.
+    Parameter order is (shape, scale), both optimized on the log scale.
+    All four power-integral terms have closed forms, written so that no
+    term cancels as the shape approaches 0.
     """
 
     name = "gpd"
@@ -523,7 +530,7 @@ class GeneralizedPareto(FamilyModel):
     # generous practical caps: beyond them the tail index is meaningless and
     # the power arithmetic overflows; optimizer probes there read as infeasible
     box = ((0.0, 1e6), (0.0, 1e15))
-    closed_forms = frozenset({PLAIN_POWER})
+    closed_forms = frozenset(INTEGRAL_KINDS)
 
     def _logpdf(self, x, theta):
         xi, beta = _point_coords(theta)
@@ -592,10 +599,39 @@ class GeneralizedPareto(FamilyModel):
         return tuple(h for h in hints if h < hi)
 
     def closed_integral(self, kind, theta, alpha):
+        # With z = 1 + xi x / beta and w = 1/z, every score and information
+        # entry is a polynomial of degree <= 2 in w and log z, and
+        #   int f^(1+alpha) w^j (log z)^k dx
+        #       = beta^-alpha xi^-1 k! / (c + j - 1)^(k+1),
+        # c = (1+alpha)(1+xi)/xi. The sums of these moments, simplified
+        # exactly, are the rational forms below; a term-by-term sum cancels
+        # catastrophically as xi -> 0.
         xi, beta = _coords(theta)
+        c = beta ** (-alpha)
+        d1 = 1 + alpha * (1 + xi)
         if kind == PLAIN_POWER:
-            return beta ** (-alpha) / (1 + alpha * (1 + xi))
-        raise NotImplementedError(f"gpd has no closed form for {kind}")
+            return c / d1
+        a = 1 + alpha
+        d2 = d1 + 2 * xi
+        if kind == SCORE_POWER:
+            return np.stack([-alpha * c / (a * d1 ** 2),
+                             -alpha * c / (beta * a * d1)], axis=-1)
+        if kind == SCORE_OUTER_POWER:
+            q = (alpha ** 3 * (1 + xi) ** 2 + alpha ** 2 * xi * (1 + xi)
+                 + 1)
+            return _symmetric2(
+                2 * c * q / (a ** 2 * (1 + xi) * d1 ** 3 * d2),
+                c * q / (beta * a ** 2 * (1 + xi) * d1 ** 2 * d2),
+                c * (alpha ** 2 * (1 + xi) + alpha * xi + 1)
+                / (beta ** 2 * a * d1 * d2))
+        if kind == INFO_POWER:
+            # 1 - alpha (1 + xi), exact at alpha = 1
+            e = (1 - alpha) - alpha * xi
+            return _symmetric2(
+                2 * c * e / (a * (1 + xi) * d1 ** 2 * d2),
+                c * e / (beta * a * (1 + xi) * d1 * d2),
+                c * e / (beta ** 2 * d1 * d2))
+        raise ValueError(f"unknown integral kind {kind!r}")
 
     def sample(self, theta, n, rng):
         xi, beta = theta

@@ -1,5 +1,6 @@
 import os
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -85,3 +86,58 @@ def fd_gradient(fn, x, rel_step=6e-6):
         e[j] = h[j]
         out.append((fn(x + e) - fn(x - e)) / (2 * h[j]))
     return np.stack(out, axis=-1)
+
+
+def _poly_mul(p, q):
+    out = {}
+    for (j1, k1), a in p.items():
+        for (j2, k2), b in q.items():
+            out[j1 + j2, k1 + k2] = out.get((j1 + j2, k1 + k2), 0) + a * b
+    return out
+
+
+def _poly_add(*terms):
+    """Sum of coef * poly over (coef, poly) pairs."""
+    out = {}
+    for coef, poly in terms:
+        for key, a in poly.items():
+            out[key] = out.get(key, 0) + coef * a
+    return out
+
+
+def gpd_terms_mpmath(xi, beta, alpha, dps=80):
+    """The four gpd model integrals (plain, score, score outer, info) at
+    (xi, beta, alpha), as mpf values at dps digits.
+
+    The score and information entries are written as polynomials in
+    w = 1/z and t = log z, z = 1 + xi x / beta, and integrated term by term
+    with int f^(1+alpha) w^j t^k dx = beta^-alpha xi^-1 k! / (c+j-1)^(k+1),
+    c = (1+alpha)(1+xi)/xi. The sum cancels heavily as xi -> 0, which the
+    working precision absorbs.
+    """
+    with mpmath.workdps(dps):
+        xi, beta, alpha = (mpmath.mpf(float(v)) for v in (xi, beta, alpha))
+        c = (1 + alpha) * (1 + xi) / xi
+
+        def integral(poly):
+            return mpmath.fsum(
+                a * mpmath.factorial(k) / (c + j - 1) ** (k + 1)
+                for (j, k), a in poly.items()) * beta ** -alpha / xi
+
+        one, w, t = {(0, 0): 1}, {(1, 0): 1}, {(0, 1): 1}
+        r = _poly_add((1, one), (-1, w))
+        r2 = _poly_mul(r, r)
+        s_xi = _poly_add((1 / xi ** 2, t), (-(1 + xi) / xi ** 2, r))
+        s_beta = _poly_add((-1 / beta, one), ((1 + xi) / (xi * beta), r))
+        i00 = _poly_add((2 / xi ** 3, t), (-2 / xi ** 3, r),
+                        (-1 / xi ** 3 - 1 / xi ** 2, r2))
+        i01 = _poly_add((-1 / (xi * beta), _poly_mul(r, w)),
+                        (1 / (xi ** 2 * beta), r2))
+        i11 = _poly_add(((1 + xi) / xi / beta ** 2 - 1 / beta ** 2, one),
+                        (-(1 + xi) / xi / beta ** 2, _poly_mul(w, w)))
+        s = (s_xi, s_beta)
+        return (integral(one),
+                [integral(e) for e in s],
+                [[integral(_poly_mul(a, b)) for b in s] for a in s],
+                [[integral(e) for e in row]
+                 for row in ((i00, i01), (i01, i11))])

@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from mindpd.cli import (EXIT_CONFIG, EXIT_OK, main, parse_generator,
@@ -40,6 +40,26 @@ def test_read_csv_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(IngestionError):
         read_data_csv(str(path))
+
+
+# pieces of CSV files, so that generated bytes reach the number parser as
+# well as the text decoder
+_CSV_TOKENS = st.sampled_from([
+    b"1.5", b"-2", b"1e400", b"nan", b"inf", b"value", b"x", b",", b" ",
+    b"\n", b"\r\n", b"\x00", b"\xff", b"\xfe", b"\xc3\xa9", b"\xc3"])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.binary(), st.lists(_CSV_TOKENS).map(b"".join)))
+def test_read_csv_raises_only_package_errors(tmp_path, content):
+    path = tmp_path / "d.csv"
+    path.write_bytes(content)
+    try:
+        values = read_data_csv(str(path))
+    except MindpdError:
+        return
+    assert values.dtype == np.float64 and values.ndim == 1 and values.size
 
 
 # ------------------------------------------------------------- generators
@@ -265,17 +285,25 @@ _SIM = ["simulate", "--family", "normal", "--n", "50", "--reps", "1"]
     ["fit", "--family", "normal", "--data", NORMAL20, "--quad-nodes", "8"],
     ["sweep", "--family", "normal", "--data", NORMAL20,
      "--alpha-grid", "0.5,0.25"],
-    # --config takes the file's JSON text here; the test writes the file
+    # --config takes the file's JSON text here, and a bytes argument is the
+    # content of a file; the test writes the files
     ["fit", "--config", '{"family": ["normal"]}', "--data", NORMAL20],
     _SIM + ["--config", '{"generator": {"components": []}}',
             "--family", "normal"],
+    # files that are not valid UTF-8
+    ["fit", "--family", "normal", "--data", b"x\n1.0\n\xff\xfe2.0\n"],
+    ["fit", "--config", b'{"alpha": "\xff"}', "--data", NORMAL20],
 ])
 def test_malformed_input_exit_2(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    argv = list(argv)
     if "--config" in argv:
         i = argv.index("--config") + 1
-        (tmp_path / "cfg.json").write_text(argv[i])
-        argv = argv[:i] + ["cfg.json"] + argv[i + 1:]
+        argv[i] = argv[i].encode() if isinstance(argv[i], str) else argv[i]
+    for i, arg in enumerate(argv):
+        if isinstance(arg, bytes):
+            (tmp_path / f"file{i}").write_bytes(arg)
+            argv[i] = f"file{i}"
     assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
 

@@ -11,9 +11,10 @@ from mindpd.divergence import (DpdConfig, criterion, criterion_kernel,
                                objective_value_and_gradient)
 from mindpd.errors import DomainError, IngestionError
 from mindpd.families import (INTEGRAL_KINDS, PLAIN_POWER, Mixture, Normal,
-                             integral_term, model_density)
+                             integral_term, integral_terms, model_density)
 
-from conftest import OBJ10, family_grid, fd_gradient, random_feasible
+from conftest import (OBJ10, family_grid, fd_gradient, gpd_terms_mpmath,
+                      random_feasible)
 
 STD = np.array([0.0, 1.0])
 SHIFT = np.array([1.0, 1.0])
@@ -260,13 +261,35 @@ def test_value_and_gradient_equal_separate_views(alpha):
             assert np.allclose(grad, grad1, rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("alpha", [0.25, 0.5])
+@pytest.mark.parametrize("xi", [8.0, 10.0, 20.0, 50.0])
+def test_gpd_heavy_shapes_finite(xi, alpha, gpd):
+    # quadrature of the model terms failed or gave NaN at these shapes: its
+    # window reaches 1e119 at xi = 8 and overflows at xi = 50
+    theta = np.array([xi, 1.3])
+    cfg = DpdConfig(alpha=alpha)
+    data = np.array([0.02, 0.4, 1.1, 3.0, 9.5, 60.0, 2.5e3, 4.0e5])
+    value, grad = objective_value_and_gradient(gpd, data, theta, cfg)
+    hess = objective_hessian(gpd, data, theta, cfg)
+    assert np.isfinite(value) and np.all(np.isfinite(grad))
+    assert np.all(np.isfinite(hess))
+    ref = gpd_terms_mpmath(xi, 1.3, alpha)
+    for term, expect in zip(integral_terms(gpd, theta, alpha, INTEGRAL_KINDS),
+                            ref):
+        expect = np.array(expect, dtype=float)
+        assert np.allclose(term, expect, rtol=1e-12, atol=0.0)
+    fa = gpd.pdf(data, theta) ** alpha
+    assert value == pytest.approx(
+        np.mean((1 + 1 / alpha) * fa) - float(ref[0]), rel=1e-12)
+
+
 # ------------------------------------------------------------- batches
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
 def test_batched_kernel_equals_per_row_calls(alpha):
     # a batch (R, p) of points gives each row exactly what that row gives
     # alone: bitwise where every model integral has a closed form, and for
-    # gpd and poisson, whose numeric integrals run once per row, to 1e-13
+    # poisson, whose sums run once per row, to 1e-13
     cfg = DpdConfig(alpha=alpha)
     rng = np.random.default_rng(25)
     for fam, _ in family_grid():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,8 @@ from mindpd.families import (INTEGRAL_KINDS, LOG_FLOOR, PLAIN_POWER,
                              integral_terms, to_working, working_jacobian)
 from mindpd.quadrature import QuadratureSpec
 
-from conftest import family_grid, fd_gradient, random_feasible
+from conftest import (family_grid, fd_gradient, gpd_terms_mpmath,
+                      random_feasible)
 
 
 # ---------------------------------------------------------------- densities
@@ -193,6 +195,87 @@ def test_poisson_terms_match_direct_two_sided_sum(rate, poisson):
     terms = integral_terms(poisson, np.array([rate]), alpha, INTEGRAL_KINDS)
     for value, ref in zip(terms, direct):
         assert abs(float(np.ravel(value)[0]) - ref) <= 1e-12 * abs(ref)
+
+
+def _close(value, ref, rel, zero):
+    """value within rel of ref plus the absolute floor zero, entry by
+    entry."""
+    value, ref = np.asarray(value, dtype=float), np.asarray(ref, dtype=float)
+    assert value.shape == ref.shape
+    return bool(np.all(np.abs(value - ref) <= rel * np.abs(ref) + zero))
+
+
+def test_gpd_reference_matches_direct_quadrature():
+    # the moment sums of gpd_terms_mpmath against mpmath quadrature of the
+    # family's own score and information formulas, at 40 digits
+    beta = 1.3
+    for xi, alpha in ((0.3, 0.5), (8.0, 0.25)):
+        with mpmath.workdps(40):
+            xi_, beta_, alpha_ = (mpmath.mpf(v) for v in (xi, beta, alpha))
+
+            def entries(t):
+                # x with log z = t, and f^(1+alpha) dx/dt
+                x = beta_ * mpmath.expm1(t) / xi_
+                d = beta_ + xi_ * x
+                r = xi_ * x / d
+                weight = (mpmath.exp(-(1 / xi_ + 1) * (1 + alpha_) * t)
+                          * beta_ ** -alpha_ * mpmath.exp(t) / xi_)
+                s = ((t - r) / xi_ ** 2 - r / xi_,
+                     (-1 + (1 + xi_) * r / xi_) / beta_)
+                info = ((2 * t - 2 * r - r * r) / xi_ ** 3 - (x / d) ** 2,
+                        -x * (beta_ - x) / (beta_ * d ** 2),
+                        (1 + xi_) * x * (2 * beta_ + xi_ * x)
+                        / (beta_ * d) ** 2 - 1 / beta_ ** 2)
+                return [weight * v for v in (
+                    1, *s, s[0] * s[0], s[0] * s[1], s[1] * s[1], *info)]
+
+            scale = 1 / ((1 + alpha_) * (1 + xi_) / xi_ - 1)
+            nodes = [0, scale / 10, scale, 10 * scale, 100 * scale, mpmath.inf]
+            direct = [mpmath.quad(lambda t, k=k: entries(t)[k], nodes)
+                      for k in range(9)]
+            plain, score, outer, info = gpd_terms_mpmath(xi, beta, alpha, 40)
+            ref = [plain, *score, outer[0][0], outer[0][1], outer[1][1],
+                   info[0][0], info[0][1], info[1][1]]
+            for a, b in zip(direct, ref):
+                assert abs(a - b) <= mpmath.mpf("1e-25") * abs(b), (xi, alpha)
+            assert outer[0][1] == outer[1][0] and info[0][1] == info[1][0]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0])
+def test_gpd_closed_forms_match_mpmath(alpha, gpd):
+    # the closed forms have no cancellation: 1e-13 relative from a shape of
+    # 1e-6 up to 50, where quadrature is off by up to 1e-11
+    thetas = np.array([(xi, beta)
+                       for xi in [*np.geomspace(1e-6, 50.0, 15), 1.0, 3.0]
+                       for beta in (0.3, 1.3, 7.0)])
+    terms = integral_terms(gpd, thetas, alpha, INTEGRAL_KINDS,
+                           method="closed")
+    for r, (xi, beta) in enumerate(thetas):
+        ref = gpd_terms_mpmath(xi, beta, alpha)
+        for kind, value, expect in zip(INTEGRAL_KINDS, terms, ref):
+            # exact zeros (the score at alpha = 0, the information where
+            # alpha (1 + xi) = 1) leave only the reference's rounding
+            assert _close(value[r], expect, 1e-13, 1e-60), \
+                (xi, beta, alpha, kind)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0])
+def test_gpd_closed_forms_match_quadrature(alpha, gpd):
+    for xi in (0.05, 0.2, 0.4, 1.0, 3.0):
+        for beta in (0.3, 1.0, 7.0):
+            theta = np.array([xi, beta])
+            closed = integral_terms(gpd, theta, alpha, INTEGRAL_KINDS,
+                                    method="closed")
+            numeric = integral_terms(gpd, theta, alpha, INTEGRAL_KINDS,
+                                     method="quadrature")
+            for kind, c, q in zip(INTEGRAL_KINDS, closed, numeric):
+                c, q = np.asarray(c), np.asarray(q)
+                # an exactly zero entry is compared absolutely
+                zero = c == 0
+                assert np.all(np.abs(q[zero]) < 1e-12), \
+                    (xi, beta, alpha, kind)
+                assert _close(c[~zero], q[~zero], 1e-9, 0.0), \
+                    (xi, beta, alpha, kind)
 
 
 def test_plain_power_values(normal):
