@@ -238,8 +238,8 @@ def dpd_projection(fam, g, cfg, init=None, grid_span=1.0, grid_points=7,
     """argmax of M over the family: the projection of g onto the model.
 
     Coarse grid in working coordinates around a moment-based start, then
-    Newton ascent using the analytic M-gradient and the population Hessian
-    -(1+alpha) J.
+    damped Newton ascent using the analytic M-gradient and the population
+    Hessian -(1+alpha) J.
     """
     if init is None:
         rng = np.random.Generator(np.random.Philox(key=0x9E3779B97F4A7C15))
@@ -279,7 +279,7 @@ def dpd_projection(fam, g, cfg, init=None, grid_span=1.0, grid_points=7,
         return (jac[:, None] * H_nat * jac[None, :]
                 + np.diag(grad * working_curvature(fam, theta)))[None]
 
-    res = maximize(evaluate, z_best, hessian=hessian, grad_tol=grad_tol)
+    res, = maximize(evaluate, z_best[None], hessian, grad_tol=grad_tol)
     return from_working(fam, res.z)
 
 
@@ -349,10 +349,13 @@ class DiagnosticsReport:
         return "\n".join(lines)
 
 
-def _fd_hessian(fn, theta, rel_step=3.16e-4):
+def _fd_hessian(fn, theta, spread, rel_step=3.16e-4):
+    """Central-difference Hessian of fn at theta. Coordinate j steps
+    rel_step times the smaller of max(|theta_j|, 1) and spread_j, the
+    scale over which fn curves along it (ignored where NaN)."""
     theta = np.asarray(theta, dtype=float)
     p = theta.shape[0]
-    h = rel_step * np.maximum(np.abs(theta), 1.0)
+    h = rel_step * np.fmin(np.maximum(np.abs(theta), 1.0), spread)
     H = np.empty((p, p))
     f0 = fn(theta)
     for j in range(p):
@@ -469,7 +472,15 @@ def diagnose_regularity(fam, theta0, g, cfg, dcfg=DiagnosticsConfig()):
     # (a) Hessian identity
     J = compute_J(fam, theta0, g, cfg)
     target = -(1 + alpha) * J
-    H_fd = _fd_hessian(lambda t: population_objective(fam, t, g, cfg), theta0)
+    # M curves over the model's spread: integral(f^(1+alpha)) / J_jj is of
+    # the order of the model variance along coordinate j (the inverse
+    # Fisher information at alpha = 0), whereas a step relative to theta
+    # reaches one standard deviation at a Poisson rate of 1e7
+    with np.errstate(invalid="ignore"):
+        spread = np.sqrt(integral_term(fam, theta0, alpha, PLAIN_POWER,
+                                       cfg.quad) / np.diag(J))
+    H_fd = _fd_hessian(lambda t: population_objective(fam, t, g, cfg),
+                       theta0, spread)
     hess_err = float(np.linalg.norm(H_fd - target)
                      / max(np.linalg.norm(target), 1e-300))
 

@@ -8,14 +8,14 @@ first start is anchored at the maximum likelihood fit (or a caller-supplied
 warm start); further starts perturb the anchor with deterministic
 per-start streams.
 
-``fit`` runs L-BFGS-B and then Newton from each start. ``fit_batch`` runs
-the starts of many samples of one size at once, for the Monte Carlo
-harness: the same anchor and starts, with one batched damped Newton over
-every (sample, start) pair and no quasi-Newton stage. Each sample's
-``Solution`` is then finalised by ``fit(..., solution=)``, so both paths
-share the choice among starts, the standard-error rule and the FitResult.
-Both evaluate the objective through ``_working_objective``, whose Hessian
-comes from one kernel evaluation.
+``fit_batch`` runs the starts of many samples of one size at once, with
+one damped Newton (``optimize.maximize``) over every (sample, start) pair,
+and returns one ``Solution`` per sample; ``fit`` finalises a Solution into
+a FitResult, and without one runs ``fit_batch`` on its sample alone. So a
+single fit and a Monte Carlo replication share the solver, the choice
+among starts, the standard-error rule and the FitResult. The objective is
+evaluated through ``_WorkingObjective``, whose Hessian comes from one
+kernel evaluation.
 """
 from __future__ import annotations
 
@@ -25,11 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .asymptotics import (SandwichCov, empirical_sandwich,
+# empirical_sandwich and the objective views are bound here for
+# benchmarks/tracing.py, which patches these names in this module
+from .asymptotics import (SandwichCov, empirical_sandwich,  # noqa: F401
                           empirical_sandwiches)
-from .divergence import (DpdConfig, criterion_kernel, objective,
-                         # bound here for benchmarks/tracing.py, which
-                         # patches these names in this module
+from .divergence import (DpdConfig, criterion_kernel,
+                         objective,  # noqa: F401
                          objective_gradient,  # noqa: F401
                          objective_hessian,  # noqa: F401
                          objective_value_and_gradient)  # noqa: F401
@@ -37,17 +38,18 @@ from .errors import (EstimationError, NonconvergenceError,
                      NumericalError)
 from .families import (from_working, to_working, working_curvature,
                        working_jacobian)
-from .optimize import (AscentResult, at_lower_bound, maximize,
-                       newton_polish)
+from .optimize import maximize
 from .quadrature import DEFAULT_QUAD
 
 SCALE_FLOOR_LOG = math.log(1e-8)
+
+# observations, over all samples and starts, that one objective call holds
+MAX_BATCH_POINTS = 2 ** 16
 
 
 @dataclass(frozen=True)
 class FitConfig:
     starts: int = 5
-    max_iter: int = 200
     grad_tol: float = 1e-8          # on the working-coordinate gradient norm
     step_tol: float = 1e-10
     seed: int = 0                   # base of the per-start perturbation streams
@@ -147,19 +149,32 @@ def _working_bounds(fam):
                      for t in fam.transforms])
 
 
-def _working_objective(fam, data, cfg):
+class _WorkingObjective:
     """The empirical objectives of the samples data (R, n) in working
-    coordinates, as newton_polish and maximize take them: evaluate(rows, z)
-    gives the values (k,) and gradients (k, p) of the objectives of
-    data[rows] at the points z (k, p), and hessian(rows, z) their Hessians
-    (k, p, p), each from one kernel evaluation.
+    coordinates, as maximize takes them: evaluate(rows, z) gives the values
+    (k,) and gradients (k, p) of the objectives of data[rows] at the points
+    z (k, p), and hessian(rows, z) their Hessians (k, p, p), each from one
+    kernel evaluation.
 
-    Infeasible points read as -inf, and a quadrature failure at a transient
-    extreme theta reads as -inf at every point of the call, so the line
-    search retreats (the accepted fit is re-evaluated hard); a failed
-    Hessian reads as NaN.
+    A call of more rows than MAX_BATCH_POINTS observations allow runs in
+    groups of rows, so the working arrays stay bounded however many starts
+    a large sample has. Infeasible points read as -inf, and a quadrature
+    failure at a transient extreme theta reads as -inf, so the line search
+    retreats; a failed Hessian reads as NaN. A failing call is repeated row
+    by row, so that only the rows that fail read so. No row's bytes depend
+    on the rows that share its call. (Methods, not closures: a closure that
+    calls itself is a reference cycle, which would hold the samples until
+    the garbage collector runs.)
     """
-    def evaluate(rows, z):
+
+    def __init__(self, fam, data, cfg):
+        self.fam, self.data, self.cfg = fam, data, cfg
+        self.group = max(1, MAX_BATCH_POINTS // data.shape[-1])
+
+    def evaluate(self, rows, z):
+        if z.shape[0] > self.group:
+            return _in_groups(self.evaluate, rows, z, self.group)
+        fam = self.fam
         theta = from_working(fam, z)
         ok = fam.feasible(theta)
         value = np.full(z.shape[0], -np.inf)
@@ -167,38 +182,41 @@ def _working_objective(fam, data, cfg):
         if not np.any(ok):
             return value, grad
         try:
-            m, dm = criterion_kernel(fam, theta[ok], cfg, (0, 1))(
-                data[rows[ok]])[:2]
+            m, dm = criterion_kernel(fam, theta[ok], self.cfg, (0, 1))(
+                self.data[rows[ok]])[:2]
         except NumericalError:
+            if z.shape[0] > 1:
+                return _in_groups(self.evaluate, rows, z, 1)
             return value, grad
         value[ok] = np.mean(m, axis=-1)
         grad[ok] = np.mean(dm, axis=-2) * working_jacobian(fam, theta[ok])
         return value, grad
 
-    def hessian(rows, z):
+    def hessian(self, rows, z):
+        if z.shape[0] > self.group:
+            return _in_groups(self.hessian, rows, z, self.group)
+        fam = self.fam
         theta = from_working(fam, z)
         try:
-            _, dm, H = criterion_kernel(fam, theta, cfg, (1, 2))(
-                data[rows])[:3]
+            _, dm, H = criterion_kernel(fam, theta, self.cfg, (1, 2))(
+                self.data[rows])[:3]
         except NumericalError:
+            if z.shape[0] > 1:
+                return _in_groups(self.hessian, rows, z, 1)
             return np.full(z.shape + z.shape[-1:], np.nan)
         jac = working_jacobian(fam, theta)
         curvature = np.mean(dm, axis=-2) * working_curvature(fam, theta)
         return (jac[..., :, None] * H * jac[..., None, :]
                 + np.eye(fam.p) * curvature[..., None, :])
 
-    return evaluate, hessian
 
-
-def _mle_anchor(fam, data, quad, fit_cfg):
-    """Start 1 of any fit: the alpha = 0 (maximum likelihood) solution."""
-    evaluate, hessian = _working_objective(
-        fam, data[None], DpdConfig(alpha=0.0, quad=quad))
-    z0 = to_working(fam, fam.initial_guess(data))
-    res = maximize(evaluate, z0, hessian=hessian, lower=_working_bounds(fam),
-                   grad_tol=fit_cfg.grad_tol, step_tol=fit_cfg.step_tol,
-                   max_iter=fit_cfg.max_iter)
-    return res.z
+def _in_groups(fn, rows, z, size):
+    """fn(rows, z) evaluated on groups of size rows, results stacked."""
+    parts = [fn(rows[i:i + size], z[i:i + size])
+             for i in range(0, z.shape[0], size)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    return np.concatenate(parts)
 
 
 def _start_point(anchor_z, s, fit_cfg, seed, lower):
@@ -229,8 +247,9 @@ class Solution:
     """What the starts of one fit reached, as fit finalises it."""
 
     results: list                   # AscentResult per start
-    anchor_z: np.ndarray
-    best: int                       # index of the chosen start
+    best: int                       # index of the chosen start; None
+                                    # where no start is acceptable, and
+                                    # fit raises NonconvergenceError
     theta_hat: np.ndarray
     value: float                    # the objective at theta_hat
     sandwich: object                # SandwichCov, the EstimationError why
@@ -240,15 +259,17 @@ class Solution:
 def fit(fam, sample, cfg, fit_cfg=FitConfig(), anchor=None, solution=None):
     """Minimum density power divergence fit.
 
-    Maximizes the empirical objective over all starts; the returned point is
-    at least as good as every point the optimizer evaluated (the numerical
+    Maximizes the empirical objective over all starts by the batched Newton
+    of fit_batch, here on the batch of one sample; the returned point is at
+    least as good as every point its start reached (the numerical
     near-maximizer contract). Standard errors come from the empirical
     sandwich at theta_hat; if its J is singular they are marked unavailable
-    rather than failing the fit.
+    rather than failing the fit. Raises NonconvergenceError, with the
+    start trace as detail, where no start converged or ended on the floor.
 
-    solution: this sample's entry of fit_batch, whose batched Newton has
-    already run the starts; fit then only finalises it. Without one, fit
-    runs its own starts.
+    anchor: a warm start (natural coordinates) in place of the maximum
+    likelihood anchor. solution: this sample's entry of a fit_batch that
+    has already run the starts; fit then only finalises it.
     """
     data = fam.validate_data(sample)
     n = data.shape[0]
@@ -256,115 +277,74 @@ def fit(fam, sample, cfg, fit_cfg=FitConfig(), anchor=None, solution=None):
         raise EstimationError(
             f"need at least p+1={fam.p + 1} observations, got {n}")
     if solution is None:
-        solution = _solve(fam, data, cfg, fit_cfg, anchor)
+        solution, = fit_batch(fam, data[None], cfg, fit_cfg, [fit_cfg.seed],
+                              anchor=anchor)
+    if solution.best is None:
+        raise NonconvergenceError(
+            f"no start converged for {fam.name} at alpha={cfg.alpha:g}",
+            detail=_start_trace(solution.results))
     return _finalize(fam, data, cfg, fit_cfg, solution)
 
 
-def _solve(fam, data, cfg, fit_cfg, anchor):
-    """Every start of one fit by L-BFGS-B and Newton, and the choice among
-    them."""
-    evaluate, hessian = _working_objective(fam, data[None], cfg)
-    lower = _working_bounds(fam)
-    if anchor is not None:
-        anchor_z = to_working(fam, np.asarray(anchor, dtype=float))
-    elif cfg.alpha == 0.0:
-        anchor_z = to_working(fam, fam.initial_guess(data))
-    else:
-        anchor_z = _mle_anchor(fam, data, cfg.quad, fit_cfg)
-
-    results = [maximize(evaluate,
-                        _start_point(anchor_z, s, fit_cfg, fit_cfg.seed,
-                                     lower),
-                        hessian=hessian, lower=lower,
-                        grad_tol=fit_cfg.grad_tol,
-                        step_tol=fit_cfg.step_tol, max_iter=fit_cfg.max_iter)
-               for s in range(fit_cfg.starts)]
-    converged = np.array([r.converged for r in results])
-    values = np.array([r.value for r in results])
-    if np.any(converged):
-        best = int(_pick(values, converged,
-                         np.array([r.z for r in results]), anchor_z))
-    elif any(r.at_bound for r in results):
-        best = int(np.argmax(values))
-    else:
-        raise NonconvergenceError(
-            f"no start converged for {fam.name} at alpha={cfg.alpha:g}",
-            detail=_start_trace(results))
-
-    theta_hat = from_working(fam, results[best].z)
-    sw = None
-    if not results[best].at_bound:
-        try:
-            sw = empirical_sandwich(fam, theta_hat, data, cfg,
-                                    cond_cap=fit_cfg.cond_cap)
-        except EstimationError as exc:
-            sw = exc
-    return Solution(results=results, anchor_z=anchor_z, best=best,
-                    theta_hat=theta_hat,
-                    value=objective(fam, data, theta_hat, cfg), sandwich=sw)
-
-
-def fit_batch(fam, data, cfg, fit_cfg, seeds, want_se=True):
+def fit_batch(fam, data, cfg, fit_cfg, seeds, want_se=True, anchor=None):
     """The starts of many fits at once, one fit per row of the validated
-    samples data (R, n) with n > p, by damped Newton alone.
+    samples data (R, n) with n > p.
 
-    The steps mirror fit's: the anchor is the alpha = 0 fit, reached by
-    Newton from the initial guess; start s > 0 perturbs it with the stream
-    of (seeds[r], s); one batched Newton runs every (row, start) pair; and
-    a row takes its start by fit's rule. Returns per row the Solution that
-    fit(..., solution=) finalises, or None where no start converged: such a
-    row, a boundary fit among them, is for fit to run again. The sandwiches
-    for standard errors are computed only if want_se.
+    The anchor is the warm start ``anchor`` (natural coordinates, one point
+    or one per row) if given, else the alpha = 0 fit, reached by Newton
+    from the initial guess. Start s > 0 perturbs the anchor with the stream
+    of (seeds[r], s), and one batched Newton runs every (row, start) pair.
+    A row takes its best converged start, ties within 1e-10 going to the
+    start nearest the anchor; where none converged but one ended on the
+    floor, the start of highest value; otherwise none. Returns per row the
+    Solution that fit(..., solution=) finalises. The sandwiches for
+    standard errors are computed only if want_se.
     """
     R, p, S = data.shape[0], fam.p, fit_cfg.starts
-    lower = _working_bounds(fam)
-    tols = (fit_cfg.grad_tol, fit_cfg.step_tol)
-    anchor = to_working(fam, fam.initial_guess(data))
-    if cfg.alpha != 0.0:
-        anchor = newton_polish(
-            *_working_objective(fam, data, DpdConfig(alpha=0.0,
-                                                     quad=cfg.quad)),
-            anchor, lower, *tols)[0]
+    tols = dict(lower=_working_bounds(fam), grad_tol=fit_cfg.grad_tol,
+                step_tol=fit_cfg.step_tol)
+    if anchor is not None:
+        anchor_z = to_working(fam, np.broadcast_to(
+            np.asarray(anchor, dtype=float), (R, p)))
+    else:
+        anchor_z = to_working(fam, fam.initial_guess(data))
+        if cfg.alpha != 0.0:
+            ml = _WorkingObjective(fam, data,
+                                   DpdConfig(alpha=0.0, quad=cfg.quad))
+            anchor_z = np.array([r.z for r in maximize(
+                ml.evaluate, anchor_z, ml.hessian, **tols)])
 
-    z0 = np.stack([[_start_point(anchor[r], s, fit_cfg, seeds[r], lower)
+    z0 = np.stack([[_start_point(anchor_z[r], s, fit_cfg, seeds[r],
+                                 tols["lower"])
                     for s in range(S)] for r in range(R)])
-    pair_rows = np.repeat(np.arange(R), S)
-    evaluate, hessian = _working_objective(fam, data, cfg)
-    n_evals = np.zeros(R * S, dtype=int)
+    rows = np.arange(R)
+    pair_rows = np.repeat(rows, S)
+    dpd = _WorkingObjective(fam, data, cfg)
+    results = maximize(lambda k, zs: dpd.evaluate(pair_rows[k], zs),
+                       z0.reshape(R * S, p),
+                       lambda k, zs: dpd.hessian(pair_rows[k], zs), **tols)
 
-    def counted(k, zs):
-        n_evals[k] += 1
-        return evaluate(pair_rows[k], zs)
-
-    z, value, grad = newton_polish(
-        counted, lambda k, zs: hessian(pair_rows[k], zs),
-        z0.reshape(R * S, p), lower, *tols)
-    gnorm = np.linalg.norm(grad, axis=-1)
-    at_bound = at_lower_bound(z, lower)
-    converged = (gnorm <= fit_cfg.grad_tol) & ~at_bound & np.isfinite(value)
-    results = [AscentResult(z=z[k], value=float(value[k]),
-                            grad_norm=float(gnorm[k]),
-                            converged=bool(converged[k]),
-                            at_bound=bool(at_bound[k]),
-                            n_evals=int(n_evals[k])) for k in range(R * S)]
-
-    converged = converged.reshape(R, S)
-    pick = _pick(value.reshape(R, S), converged, z.reshape(R, S, p), anchor)
-    found = np.flatnonzero(np.any(converged, axis=1))
-    chosen = found * S + pick[found]
-    theta_hat = from_working(fam, z[chosen])
-    sandwiches = (empirical_sandwiches(fam, theta_hat, data[found], cfg,
-                                       fit_cfg.cond_cap) if want_se
-                  else [EstimationError("standard errors not requested")]
-                  * found.size)
-    out = [None] * R
-    for i, r in enumerate(found):
-        out[r] = Solution(results=results[r * S:(r + 1) * S],
-                          anchor_z=anchor[r], best=int(pick[r]),
-                          theta_hat=theta_hat[i],
-                          value=float(value[chosen[i]]),
-                          sandwich=sandwiches[i])
-    return out
+    value, converged, at_bound = (
+        np.array([getattr(r, name) for r in results]).reshape(R, S)
+        for name in ("value", "converged", "at_bound"))
+    z = np.array([r.z for r in results])
+    best = np.where(np.any(converged, axis=1),
+                    _pick(value, converged, z.reshape(R, S, p), anchor_z),
+                    np.where(np.any(at_bound, axis=1),
+                             np.argmax(value, axis=1), -1))
+    theta_hat = from_working(fam, z.reshape(R, S, p)[rows, best])
+    interior = (best >= 0) & ~at_bound[rows, best]
+    sandwiches = iter(
+        empirical_sandwiches(fam, theta_hat[interior], data[interior], cfg,
+                             fit_cfg.cond_cap)
+        if want_se and np.any(interior) else [])
+    unrequested = EstimationError("standard errors not requested")
+    return [Solution(results=results[r * S:(r + 1) * S],
+                     best=int(best[r]) if best[r] >= 0 else None,
+                     theta_hat=theta_hat[r], value=float(value[r, best[r]]),
+                     sandwich=(next(sandwiches, unrequested)
+                               if interior[r] else None))
+            for r in rows]
 
 
 def _start_trace(results):

@@ -10,21 +10,16 @@ Replication streams are counter-based (Philox keyed by master seed, cell
 index and replication index), so serial and parallel executions produce
 bitwise-identical reports.
 
-Cells of families whose model integrals all have closed forms (normal,
-normal_loc, exponential) run their starts in batches: every replication of
-a chunk draws its sample from its own stream, and one damped Newton
+The replications of a cell run in chunks: every replication of a chunk
+draws its sample from its own stream, and one damped Newton
 (``estimation.fit_batch``) runs the starts of all of them at once. A chunk
 holds at most MAX_BATCH_POINTS observations over its samples and starts,
 and whole chunks go to the worker pool. No replication's bytes depend on
 which replications share its chunk, so the reports stay independent of the
 worker count. Every replication's row then comes from ``_run_rep`` and
-``fit``, which finalises the batched solution: the same choice among
-starts, standard errors and flags as a fit of its own. A replication with
-no converged batched start, a boundary fit among them, gets no solution,
-and ``fit`` runs its own multi-start path on it, so the converged,
-boundary and excluded flags mean what they mean there. Cells of the other
-families, whose every Newton step costs quadrature, take that path for
-every replication.
+``fit``, which finalises the batched solution exactly as it finalises a fit
+of its own: the same choice among starts, standard errors and converged,
+boundary and excluded flags.
 """
 from __future__ import annotations
 
@@ -38,8 +33,8 @@ from scipy import special
 from .asymptotics import dpd_projection, sandwich
 from .divergence import DpdConfig
 from .errors import MindpdError, StudyError
-from .estimation import FitConfig, fit, fit_batch
-from .families import INTEGRAL_KINDS, Mixture, to_working
+from .estimation import MAX_BATCH_POINTS, FitConfig, fit, fit_batch
+from .families import Mixture, to_working
 from .quadrature import DEFAULT_QUAD, QuadratureSpec
 
 CONSISTENCY = "consistency"
@@ -47,9 +42,6 @@ NORMALITY = "normality"
 
 _MASK64 = 2 ** 64 - 1
 _FIT_SEED_SALT = 0x5851F42D4C957F2D
-
-# observations, over all samples and starts, that one batched fit holds
-MAX_BATCH_POINTS = 2 ** 16
 
 
 def chi2_cdf(x, df):
@@ -164,35 +156,26 @@ def _run_rep(args):
 def _run_cell(gen, fam, alpha, n, cell_index, cfg, want_se, executor):
     args = [(gen, fam, alpha, n, cfg.master_seed, cell_index, rep,
              cfg.fit, cfg.quad, want_se) for rep in range(cfg.reps)]
-    workers = cfg.resolved_workers()
-    if _batched(fam, n):
-        size = min(max(1, MAX_BATCH_POINTS // (n * cfg.fit.starts)),
-                   -(-cfg.reps // workers))
-    else:
-        size = max(1, cfg.reps // (workers * 8))
+    size = min(max(1, MAX_BATCH_POINTS // (n * cfg.fit.starts)),
+               -(-cfg.reps // cfg.resolved_workers()))
     chunks = [args[i:i + size] for i in range(0, cfg.reps, size)]
     parts = (map(_run_chunk, chunks) if executor is None
              else executor.map(_run_chunk, chunks))
     return [row for part in parts for row in part]
 
 
-def _batched(fam, n):
-    return fam.closed_forms == frozenset(INTEGRAL_KINDS) and n > fam.p
-
-
 def _run_chunk(chunk):
     """Rows of consecutive replications of one cell, their starts run
-    together where the family allows it."""
+    together."""
     (gen, fam, alpha, n, master_seed, cell, _, fit_cfg, quad,
      want_se) = chunk[0]
-    if not _batched(fam, n):
-        return [_run_rep(args) for args in chunk]
     data = np.stack([gen.sample(n, replication_stream(master_seed, cell,
                                                       args[6]))
                      for args in chunk])
     # a sample fit would refuse gets no solution; fit reports it
     valid = np.flatnonzero(np.all(fam.support.contains(data)
-                                  & np.isfinite(data), axis=1))
+                                  & np.isfinite(data), axis=1)
+                           & (n > fam.p))
     solutions = [None] * len(chunk)
     if valid.size:
         for i, solution in zip(valid, fit_batch(

@@ -287,6 +287,18 @@ def test_hessian_identity_all_families(alpha):
         assert rep.verdicts["hessian_identity"] == "pass"
 
 
+@pytest.mark.parametrize("rate, tol", [(1e4, 8.3e-5), (1e7, 1e-3)])
+def test_hessian_identity_at_large_poisson_rates(poisson, rate, tol):
+    # the finite-difference steps stay within the model's spread: a step
+    # of 3.16e-4 theta is one standard deviation at rate 1e7, where the
+    # identity read 7.9e-2 (and 8.3e-5 at rate 1e4)
+    theta = np.array([rate])
+    rep = diagnose_regularity(poisson, theta, model_density(poisson, theta),
+                              DpdConfig(alpha=0.5))
+    assert rep.hessian_identity_error < tol
+    assert rep.verdicts["hessian_identity"] == "pass"
+
+
 # ------------------------------------------------------------- score bound
 
 def _full_integer_scan(fam, theta, alpha, dcfg):

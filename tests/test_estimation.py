@@ -196,22 +196,23 @@ def test_contaminated_fixture_bias_direction(normal):
 
 
 def test_start_trace_counts_every_evaluation(gpd, monkeypatch):
-    # Newton-polish evaluations count too; the maximum likelihood anchor
+    # every line-search evaluation counts; the maximum likelihood anchor
     # runs at alpha = 0 and belongs to no start
     import mindpd.estimation as est
-    calls = []
+    points = []
     original = est.criterion_kernel
 
     def counted(fam, theta, cfg, orders):
-        # one value-and-gradient evaluation is one (0, 1) kernel
+        # a value-and-gradient evaluation is a (0, 1) kernel, one row of
+        # theta per start it evaluates
         if cfg.alpha == 0.5 and orders == (0, 1):
-            calls.append(1)
+            points.append(len(theta))
         return original(fam, theta, cfg, orders)
 
     monkeypatch.setattr(est, "criterion_kernel", counted)
     data = gpd.sample(np.array([0.3, 1.2]), 2000, np.random.default_rng(8))
     res = fit(gpd, data, DpdConfig(alpha=0.5), FitConfig(starts=2))
-    assert sum(t["n_evals"] for t in res.start_trace) == len(calls)
+    assert sum(t["n_evals"] for t in res.start_trace) == sum(points)
 
 
 def test_ascent_direction_on_indefinite_hessian():
@@ -221,13 +222,111 @@ def test_ascent_direction_on_indefinite_hessian():
     H = np.array([[[1.0, 0.3], [0.3, -2.0]],       # indefinite
                   [[-1.0, 1.0], [1.0, -1.0]],      # -H singular
                   [[-4.0, 0.0], [0.0, -1e-12]],    # nearly singular
+                  [[-1e12, 0.0], [0.0, 0.0]],      # flat beside steep
                   [[np.nan, 0.0], [0.0, -1.0]]])
-    grad = np.array([[0.5, -1.0], [1.0, 0.2], [0.3, 0.7], [1.0, 1.0]])
+    grad = np.array([[0.5, -1.0], [1.0, 0.2], [0.3, 0.7], [1e-3, -1.0],
+                     [1.0, 1.0]])
     step = _ascent_direction(H, grad)
-    assert np.all(np.isfinite(step[:3]))
-    assert np.all(np.sum(step[:3] * grad[:3], axis=1) > 0)
-    assert np.all(np.linalg.norm(step[:3], axis=1) < 1e9)
-    assert np.all(np.isnan(step[3]))
+    assert np.all(np.isfinite(step[:4]))
+    assert np.all(np.sum(step[:4] * grad[:4], axis=1) > 0)
+    assert np.all(np.linalg.norm(step[:4], axis=1) < 1e9)
+    assert np.all(np.isnan(step[4]))
+    # the flat coordinate moves by about its gradient, not by its gradient
+    # over 1e-8 of the steep curvature (a degenerate sample's sigma beside
+    # its mu)
+    assert step[3, 1] < -0.5
     # the shift leaves a safely definite system alone
     assert np.allclose(_ascent_direction(H[2:3] - np.eye(2), grad[2:3]),
                        np.linalg.solve(np.eye(2) - H[2], grad[2]))
+
+
+@pytest.mark.parametrize("family, theta, starts",
+                         [("gpd", [0.3, 1.2], 2), ("poisson", [40.0], 1)])
+def test_solver_returns_best_point_evaluated(family, theta, starts,
+                                             monkeypatch):
+    # the near-maximizer contract on the solver itself: every row's value
+    # is at least every value evaluated for that row, up to the tie
+    # allowance of the line search
+    import mindpd.estimation as est
+    from mindpd.families import get_family
+    real = est.maximize
+    rows_checked = []
+
+    def checked(evaluate, z0, hessian, **kw):
+        best = np.full(len(z0), -np.inf)
+
+        def recording(rows, zs):
+            value, grad = evaluate(rows, zs)
+            best[rows] = np.maximum(best[rows], value)
+            return value, grad
+
+        results = real(recording, z0, hessian, **kw)
+        value = np.array([r.value for r in results])
+        assert np.all(value >= best - 1e-15 * np.maximum(1.0, np.abs(best)))
+        rows_checked.append(len(results))
+        return results
+
+    monkeypatch.setattr(est, "maximize", checked)
+    fam = get_family(family)
+    data = fam.sample(np.array(theta), 500, np.random.default_rng(5))
+    res = fit(fam, data, DpdConfig(alpha=0.5), FitConfig(starts=starts))
+    assert res.converged
+    assert rows_checked == [1, starts]   # the alpha = 0 anchor, the starts
+
+
+@pytest.mark.parametrize("rate", [5000.0, 1e4])
+def test_poisson_large_rate_fits_converge(poisson, rate):
+    # near the optimum the objective's value is noisy at 3e-13 relative
+    # while its gradient is smooth: steps whose predicted increase is below
+    # the tie tolerance are taken on a falling gradient, instead of stalling
+    # above grad_tol
+    for seed in range(8):
+        data = poisson.sample(np.array([rate]), 500,
+                              np.random.default_rng(seed))
+        res = fit(poisson, data, DpdConfig(alpha=0.5), FitConfig(starts=1))
+        assert res.converged
+        assert abs(res.theta_hat[0] - rate) < 5 * np.sqrt(rate / 500)
+
+
+def test_failing_row_leaves_other_rows_alone(poisson):
+    # a quadrature failure in one row (a Poisson window over MAX_SUM_TERMS)
+    # reads -inf / NaN for that row only; the other rows keep the bytes of
+    # their own evaluation
+    from mindpd.estimation import _WorkingObjective
+    data = poisson.sample(np.array([3.0]), 50, np.random.default_rng(2))
+    dpd = _WorkingObjective(poisson, np.stack([data, data]),
+                            DpdConfig(alpha=0.5))
+    evaluate, hessian = dpd.evaluate, dpd.hessian
+    z = np.log([[3.0], [1e12]])
+    rows = np.array([0, 1])
+    value, grad = evaluate(rows, z)
+    H = hessian(rows, z)
+    alone = evaluate(rows[:1], z[:1])
+    assert value[0] == alone[0][0] and np.array_equal(grad[0], alone[1][0])
+    assert np.array_equal(H[0], hessian(rows[:1], z[:1])[0])
+    assert value[1] == -np.inf and np.all(np.isnan(H[1]))
+
+
+def test_large_sample_starts_run_in_bounded_groups(normal, monkeypatch):
+    # the starts of a sample share an objective call only up to
+    # MAX_BATCH_POINTS observations, so a large sample's working arrays do
+    # not grow with its starts; grouping leaves every byte of the fit alone
+    import mindpd.estimation as est
+    data = normal.sample(np.array([0.0, 1.0]), 40000,
+                         np.random.default_rng(4))
+    cfg, fc = DpdConfig(alpha=0.5), FitConfig(starts=3)
+    rows_per_call = []
+    original = est.criterion_kernel
+
+    def spy(fam, theta, cfg, orders):
+        rows_per_call.append(len(theta))
+        return original(fam, theta, cfg, orders)
+
+    monkeypatch.setattr(est, "criterion_kernel", spy)
+    grouped = fit(normal, data, cfg, fc)
+    assert max(rows_per_call) == 1
+    rows_per_call.clear()
+    monkeypatch.setattr(est, "MAX_BATCH_POINTS", 2 ** 30)
+    whole = fit(normal, data, cfg, fc)
+    assert max(rows_per_call) == 3
+    assert grouped.to_dict() == whole.to_dict()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mindpd.asymptotics import sandwich
 from mindpd.divergence import DpdConfig
-from mindpd.errors import StudyError
+from mindpd.errors import NonconvergenceError, StudyError
 from mindpd.estimation import FitConfig
 from mindpd.families import Mixture, NormalLocation, model_density
 from mindpd.montecarlo import (McConfig, chi2_cdf, draw, efficiency_curve,
@@ -315,45 +315,52 @@ def test_batched_rows_independent_of_chunking(normal):
 
 def test_batched_row_without_converged_start_goes_through_run_rep(
         exponential, monkeypatch):
-    # every replication of a batched chunk is one fit; a row the batched
-    # Newton leaves unconverged gets no solution, fit runs its own starts,
-    # and its row is exactly _run_rep's
+    # a row none of whose batched starts converged (here under a gradient
+    # tolerance no start meets) is reported from those starts: _run_rep
+    # calls fit once with the row's solution, fit raises
+    # NonconvergenceError with their trace, and nothing solves it again
+    import mindpd.estimation as est
     import mindpd.montecarlo as mc
     gen = model_density(exponential, np.array([1.3]))
-    args = _cell_args(gen, exponential, 0.5, 80, 6, starts=1)
-    real_batch, real_fit = mc.fit_batch, mc.fit
-    solved = []
+    unreachable = FitConfig(starts=2, grad_tol=1e-300)
+    args = [a[:7] + (unreachable,) + a[8:]
+            for a in _cell_args(gen, exponential, 0.5, 80, 6, starts=2)]
+    real_batch, real_fit = est.fit_batch, est.fit
+    solves, failures = [], []
 
-    def batch_missing_row_2(*a, **kw):
-        solutions = real_batch(*a, **kw)
-        solutions[2] = None
-        return solutions
+    def counted_batch(*a, **kw):
+        solves.append(len(a[1]))
+        return real_batch(*a, **kw)
 
     def spy(*a, solution=None, **kw):
-        solved.append(solution is not None)
-        return real_fit(*a, solution=solution, **kw)
+        try:
+            return real_fit(*a, solution=solution, **kw)
+        except NonconvergenceError as exc:
+            failures.append((solution, exc))
+            raise
 
-    monkeypatch.setattr(mc, "fit_batch", batch_missing_row_2)
+    monkeypatch.setattr(mc, "fit_batch", counted_batch)
+    monkeypatch.setattr(est, "fit_batch", counted_batch)
     monkeypatch.setattr(mc, "fit", spy)
     rows = mc._run_chunk(args)
-    assert solved == [True, True, False, True, True, True]
-    monkeypatch.undo()
-    assert rows[2] == mc._run_rep(args[2])
-    assert rows[:2] + rows[3:] == (mc._run_chunk(args[:2])
-                                   + mc._run_chunk(args[3:]))
+    assert solves == [6]
+    assert len(failures) == 6
+    for row, (solution, exc) in zip(rows, failures):
+        assert not row["converged"] and row["theta"] is None
+        assert len(exc.detail) == 2
+        assert exc.detail == est._start_trace(solution.results)
 
 
-def test_batched_rows_match_single_fits(normal):
-    # the batched Newton and fit reach the same estimates and errors
+def test_batched_rows_match_single_fits(normal, poisson):
+    # a batched row is the bytes of the same replication fitted alone
     import mindpd.montecarlo as mc
-    gen = model_density(normal, np.array([0.5, 1.5]))
-    for alpha in (0.0, 0.5, 1.0):
-        args = _cell_args(gen, normal, alpha, 50, 5, starts=2)
-        for row, a in zip(mc._run_chunk(args), args):
-            ref = mc._run_rep(a)
-            assert row["converged"] and ref["converged"]
-            assert np.allclose(row["theta"], ref["theta"], rtol=1e-10)
-            assert np.allclose(row["se"], ref["se"], rtol=1e-10)
+    for fam, theta in ((normal, [0.5, 1.5]), (poisson, [4.0])):
+        gen = model_density(fam, np.array(theta))
+        for alpha in (0.0, 0.5, 1.0):
+            args = _cell_args(gen, fam, alpha, 50, 5, starts=2)
+            for row, a in zip(mc._run_chunk(args), args):
+                assert row["converged"]
+                assert row == mc._run_rep(a)
 
 
 def test_closed_form_study_files_independent_of_workers(tmp_path):
